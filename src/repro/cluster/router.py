@@ -1,7 +1,8 @@
 """The cluster front door and its supervisor.
 
 :class:`ClusterRouter` is a thin HTTP proxy that makes N shards look
-like one policy server:
+like one policy server — the request core of :mod:`repro.net.httpd` on
+its threaded transport, with forwarding handlers:
 
 * ``POST /v1/check`` / ``/v1/check-batch`` — routed by the consistent-
   hash owner of each check's ``site``; reads are served
@@ -55,13 +56,17 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from http.server import ThreadingHTTPServer
 from typing import Any, Mapping
 
 from repro.net import protocol
 from repro.net.admission import AdmissionController
 from repro.net.client import HttpClientAgent
-from repro.net.httpd import _Metrics, _P3PRequestHandler
+from repro.net.httpd import (
+    RequestCore,
+    Response,
+    ThreadedTransport,
+    json_response,
+)
 from repro.net.retry import TRANSPORT_ERRORS
 
 from repro.cluster.topology import Topology
@@ -78,6 +83,9 @@ __all__ = ["ClusterRouter", "P3PCluster"]
 #: saturated, and an idempotent check is safe to repeat elsewhere.
 _READ_FAILOVER_CODES = frozenset({protocol.ERR_INTERNAL,
                                   protocol.ERR_OVERLOADED})
+
+#: APPEL texts the router remembers (LRU) for backend re-registration.
+PREFERENCE_MEMORY = 4096
 
 
 class _RouterCounters:
@@ -106,65 +114,55 @@ class _RouterCounters:
             }
 
 
-class ClusterRouter(ThreadingHTTPServer):
-    """The HTTP front door over a :class:`P3PCluster`'s workers."""
+class ClusterRouter(RequestCore, ThreadedTransport):
+    """The HTTP front door over a :class:`P3PCluster`'s workers: the
+    shared request core on the threaded transport, with a route table
+    whose handlers forward instead of serve.
 
-    daemon_threads = True
-    allow_reuse_address = True
+    Admission ``Retry-After`` hints come from the cluster it fronts
+    (``retry_after_check`` / ``retry_after_install``), so clients see
+    the same back-off whether a worker or the router shed them.
+    """
+
+    ROUTES = {
+        "/healthz": ("GET", None, "_healthz"),
+        "/metrics": ("GET", None, "_metrics"),
+        "/v1/topology": ("GET", None, "_topology"),
+        "/v1/preferences": ("POST", None, "_register_preference"),
+        "/v1/check": ("POST", "check", "_check"),
+        "/v1/check-batch": ("POST", "check", "_check_batch"),
+        "/v1/match": ("POST", "check", "_match_corpus"),
+        "/v1/policies": ("POST", "install", "_install_policy"),
+    }
+    thread_name = "p3p-router"
 
     def __init__(self, cluster: "P3PCluster",
                  address: tuple[str, int] = ("127.0.0.1", 0), *,
                  max_inflight: int = 256,
-                 retry_after: float = 1.0,
-                 retry_after_install: float = 5.0,
                  max_body_bytes: int = 4 * 1024 * 1024,
-                 backend_timeout: float = 15.0,
-                 preference_memory: int = 4096):
-        super().__init__(address, _RouterRequestHandler)
+                 backend_timeout: float = 15.0):
+        super().__init__(
+            address,
+            AdmissionController(
+                max_inflight, retry_after=cluster.retry_after_check,
+                retry_after_by_class={
+                    "check": cluster.retry_after_check,
+                    "install": cluster.retry_after_install,
+                }),
+            max_body_bytes=max_body_bytes,
+            server_id="router-" + os.urandom(8).hex())
         self.cluster = cluster
-        self.admission = AdmissionController(
-            max_inflight, retry_after=retry_after,
-            retry_after_by_class={"check": retry_after,
-                                  "install": retry_after_install})
-        self.net_metrics = _Metrics()
         self.counters = _RouterCounters()
-        self.max_body_bytes = max_body_bytes
         self.backend_timeout = backend_timeout
-        self.server_id = "router-" + os.urandom(8).hex()
-        self.started_monotonic = time.monotonic()
-        #: The router is shard-agnostic; the inherited handler skips
-        #: the shard check when identity is None.
-        self.identity = None
-        self.fault_hook = None
         self._local = threading.local()
         self._rr_lock = threading.Lock()
         self._rr: dict[int, int] = {}
         #: hash -> APPEL text, for transparent backend re-registration.
         self._preference_lock = threading.Lock()
         self._preference_texts: OrderedDict[str, str] = OrderedDict()
-        self._preference_memory = preference_memory
         self._executor = ThreadPoolExecutor(
             max_workers=max(4, 2 * cluster.topology.shards),
             thread_name_prefix="p3p-router")
-        self._serving = False
-        self._closed = False
-
-    # -- addressing ----------------------------------------------------------
-
-    @property
-    def host(self) -> str:
-        return self.server_address[0]
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-    @property
-    def base_url(self) -> str:
-        host = self.host
-        if ":" in host:
-            host = f"[{host}]"
-        return f"http://{host}:{self.port}"
 
     # -- backend agents ------------------------------------------------------
 
@@ -222,7 +220,7 @@ class ClusterRouter(ThreadingHTTPServer):
         with self._preference_lock:
             self._preference_texts[digest] = appel
             self._preference_texts.move_to_end(digest)
-            while len(self._preference_texts) > self._preference_memory:
+            while len(self._preference_texts) > PREFERENCE_MEMORY:
                 self._preference_texts.popitem(last=False)
 
     def _recall_preference(self, digest: str) -> str | None:
@@ -487,145 +485,87 @@ class ClusterRouter(ThreadingHTTPServer):
             "shards": shards,
         }
 
-    # -- lifecycle -----------------------------------------------------------
+    def health(self) -> dict[str, Any]:
+        return {**super().health(), "role": "router",
+                "shards": self.cluster.topology.shards}
 
-    def serve_forever(self, poll_interval: float = 0.5) -> None:
-        self._serving = True
-        try:
-            super().serve_forever(poll_interval)
-        finally:
-            self._serving = False
-
-    def run_in_thread(self) -> threading.Thread:
-        thread = threading.Thread(target=self.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  name="p3p-router", daemon=True)
-        thread.start()
-        return thread
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        if self._serving:
-            self.shutdown()
-        self.server_close()
+    def _release(self) -> None:
         self._executor.shutdown(wait=False)
 
-    def __enter__(self) -> "ClusterRouter":
-        return self
+    # -- forwarding handlers -------------------------------------------------
 
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
+    async def _topology(self, body: bytes, query: dict,
+                        headers: Mapping[str, str]) -> Response:
+        return json_response(200, self.topology_snapshot())
 
-
-class _RouterRequestHandler(_P3PRequestHandler):
-    """The worker handler's plumbing (body limits, envelopes, fault
-    hook, identity headers) with routes that forward instead of serve."""
-
-    server: ClusterRouter
-
-    _GET_ROUTES = {
-        "/healthz": "_handle_healthz",
-        "/metrics": "_handle_metrics",
-        "/v1/topology": "_handle_topology",
-    }
-    _POST_ROUTES = {
-        "/v1/preferences": "_handle_register_preference",
-        "/v1/check": "_handle_check",
-        "/v1/check-batch": "_handle_check_batch",
-        "/v1/match": "_handle_match_corpus",
-        "/v1/policies": "_handle_install_policy",
-    }
-
-    def _handle_healthz(self, body: bytes, query: dict) -> None:
-        self._send_json(200, {
-            "v": protocol.PROTOCOL_VERSION,
-            "status": "ok",
-            "role": "router",
-            "shards": self.server.cluster.topology.shards,
-        })
-
-    def _handle_metrics(self, body: bytes, query: dict) -> None:
-        self._send_json(200, self.server.metrics_snapshot())
-
-    def _handle_topology(self, body: bytes, query: dict) -> None:
-        self._send_json(200, self.server.topology_snapshot())
-
-    def _handle_register_preference(self, body: bytes,
-                                    query: dict) -> None:
+    async def _register_preference(self, body: bytes, query: dict,
+                                   headers: Mapping[str, str]) -> Response:
         payload = protocol.decode(body)
         protocol.RegisterPreferenceRequest.from_wire(payload)  # validate
-        response = self.server.broadcast_preference(payload)
-        self._send_json(201 if response.get("created") else 200,
-                        response)
+        response = await self.run(lambda: self.broadcast_preference(payload))
+        return json_response(201 if response.get("created") else 200,
+                             response)
 
-    def _handle_check(self, body: bytes, query: dict) -> None:
+    async def _check(self, body: bytes, query: dict,
+                     headers: Mapping[str, str]) -> Response:
         payload = protocol.decode(body)
         request = protocol.CheckRequest.from_wire(payload)
-        self._admitted("check")
-        try:
-            shard = self.server.cluster.topology.owner_shard(request.site)
-            response = self.server.forward_read(
-                shard, "/v1/check", payload,
-                retry_key=request.check_key)
-        finally:
-            self.server.admission.leave()
-        self.server.net_metrics.checks(1)
-        self._send_json(200, response)
+        shard = self.cluster.topology.owner_shard(request.site)
+        response = await self.run(lambda: self.forward_read(
+            shard, "/v1/check", payload, retry_key=request.check_key))
+        self.net_metrics.checks(1)
+        return json_response(200, response)
 
-    def _handle_check_batch(self, body: bytes, query: dict) -> None:
+    async def _check_batch(self, body: bytes, query: dict,
+                           headers: Mapping[str, str]) -> Response:
         payload = protocol.decode(body)
         request = protocol.BatchCheckRequest.from_wire(payload)
-        self._admitted("check")
-        try:
-            topology = self.server.cluster.topology
-            by_shard: dict[int, list[int]] = {}
-            for index, (site, _) in enumerate(request.checks):
-                by_shard.setdefault(topology.owner_shard(site),
-                                    []).append(index)
-            raw_checks = payload.get("checks", [])
-            results: list[dict[str, Any] | None] = \
-                [None] * len(request.checks)
+        results = await self.run(lambda: self._split_batch(request, payload))
+        self.net_metrics.checks(len(results))
+        return json_response(200, {"v": protocol.PROTOCOL_VERSION,
+                                   "results": results})
 
-            def forward(shard: int, indexes: list[int]) -> None:
-                sub = {
-                    "v": protocol.PROTOCOL_VERSION,
-                    "preference_hash": request.preference_hash,
-                    "cookie": request.cookie,
-                    "checks": [raw_checks[i] for i in indexes],
-                }
-                keys = request.check_keys
-                response = self.server.forward_read(
-                    shard, "/v1/check-batch", sub,
-                    retry_key=(keys[indexes[0]] if keys else None))
-                for position, index in enumerate(indexes):
-                    results[index] = response["results"][position]
+    def _split_batch(self, request: protocol.BatchCheckRequest,
+                     payload: Mapping[str, Any]) -> list[Any]:
+        """Forward each shard's share of a batch in parallel; stitch the
+        results back into request order."""
+        topology = self.cluster.topology
+        by_shard: dict[int, list[int]] = {}
+        for index, (site, _) in enumerate(request.checks):
+            by_shard.setdefault(topology.owner_shard(site), []).append(index)
+        raw_checks = payload.get("checks", [])
+        results: list[dict[str, Any] | None] = [None] * len(request.checks)
 
-            futures = [
-                self.server._executor.submit(forward, shard, indexes)
-                for shard, indexes in by_shard.items()
-            ]
-            for future in futures:
-                future.result()
-        finally:
-            self.server.admission.leave()
-        self.server.net_metrics.checks(len(results))
-        self._send_json(200, {"v": protocol.PROTOCOL_VERSION,
-                              "results": results})
+        def forward(shard: int, indexes: list[int]) -> None:
+            sub = {
+                "v": protocol.PROTOCOL_VERSION,
+                "preference_hash": request.preference_hash,
+                "cookie": request.cookie,
+                "checks": [raw_checks[i] for i in indexes],
+            }
+            keys = request.check_keys
+            response = self.forward_read(
+                shard, "/v1/check-batch", sub,
+                retry_key=(keys[indexes[0]] if keys else None))
+            for position, index in enumerate(indexes):
+                results[index] = response["results"][position]
 
-    def _handle_match_corpus(self, body: bytes, query: dict) -> None:
+        futures = [self._executor.submit(forward, shard, indexes)
+                   for shard, indexes in by_shard.items()]
+        for future in futures:
+            future.result()
+        return results
+
+    async def _match_corpus(self, body: bytes, query: dict,
+                            headers: Mapping[str, str]) -> Response:
         payload = protocol.decode(body)
         protocol.MatchCorpusRequest.from_wire(payload)  # validate
-        self._admitted("check")
-        try:
-            response = self.server.scatter_match(payload)
-        finally:
-            self.server.admission.leave()
-        self.server.net_metrics.checks(len(response["results"]))
-        self._send_json(200, response)
+        response = await self.run(lambda: self.scatter_match(payload))
+        self.net_metrics.checks(len(response["results"]))
+        return json_response(200, response)
 
-    def _handle_install_policy(self, body: bytes, query: dict) -> None:
+    async def _install_policy(self, body: bytes, query: dict,
+                              headers: Mapping[str, str]) -> Response:
         payload = protocol.decode(body)
         request = protocol.InstallPolicyRequest.from_wire(payload)
         if request.site is None:
@@ -634,13 +574,9 @@ class _RouterRequestHandler(_P3PRequestHandler):
                 "cluster installs require a site: ownership is keyed "
                 "by site, and a siteless policy has no shard",
             )
-        self._admitted("install")
-        try:
-            shard = self.server.cluster.topology.owner_shard(request.site)
-            response = self.server.forward_install(shard, payload)
-        finally:
-            self.server.admission.leave()
-        self._send_json(201, response)
+        shard = self.cluster.topology.owner_shard(request.site)
+        return json_response(201, await self.run(
+            lambda: self.forward_install(shard, payload)))
 
 
 class P3PCluster:
@@ -686,6 +622,9 @@ class P3PCluster:
         self.host = host
         self.router_port = router_port
         self.router_max_inflight = router_max_inflight
+        #: Admission back-off hints, advertised by workers and router.
+        self.retry_after_check = retry_after_check
+        self.retry_after_install = retry_after_install
         self.router: ClusterRouter | None = None
         self._router_thread: threading.Thread | None = None
         worker_options = dict(
