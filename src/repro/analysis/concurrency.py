@@ -12,9 +12,10 @@ This pass checks them statically, :mod:`ast`-based like
 ``async-blocking`` (error)
     A blocking call — sqlite3 / pool / :class:`PolicyServer` work,
     ``time.sleep``, file or socket I/O — directly inside an ``async
-    def`` body.  The executor-routing idiom of :mod:`repro.net.aio`
+    def`` body.  The executor-routing idiom of :mod:`repro.net.httpd`
     (wrap the work in a nested ``def``/lambda and hand the *function*
-    to ``run_in_executor``) is recognized and not flagged: the walker
+    to the request core's ``run``, which the async transport sends to
+    ``run_in_executor``) is recognized and not flagged: the walker
     does not descend into nested non-async functions, and a call that
     is itself ``await``-ed is assumed to be a coroutine.
 
@@ -282,7 +283,7 @@ class _Linter(ast.NodeVisitor):
                 "error", "async-blocking",
                 f"blocking call in async def {node.name!r}: {reason} — "
                 "wrap the work in a function and run it via "
-                "loop.run_in_executor (the _in_executor idiom)",
+                "loop.run_in_executor (the request core's run(fn) idiom)",
                 call,
             )
 

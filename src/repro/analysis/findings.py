@@ -270,8 +270,9 @@ RULE_DOCS: dict[str, dict[str, str]] = {
                   "methods) sits directly in a coroutine body, so it "
                   "stalls the event loop and every connection it "
                   "serves.  Wrap the work in a function and route it "
-                  "through loop.run_in_executor (the `_in_executor` "
-                  "idiom in net/aio.py).",
+                  "through loop.run_in_executor (the request core's "
+                  "`run(fn)` in net/httpd.py, which net/aio.py sends "
+                  "to its executor).",
     },
     "bare-acquire": {
         "severity": "error", "analyzer": "concurrency",

@@ -269,7 +269,8 @@ class TestFailover:
     def fresh(self):
         """A private 2x1 cluster the test may freely damage."""
         with P3PCluster(shards=2, replicas=1, in_process=True,
-                        refresh_interval=0.05).start() as cluster:
+                        refresh_interval=0.05,
+                        retry_after_install=7.0).start() as cluster:
             with ClusterClient(cluster.base_url, JANE) as admin:
                 install_entries(admin)
             wait_for_replicas(cluster)
@@ -296,7 +297,8 @@ class TestFailover:
                 HttpClientAgent(fresh.base_url).install_policy(
                     ENTRIES[0][1], site=site)
             assert err.value.code == protocol.ERR_SHARD_UNAVAILABLE
-            assert err.value.retry_after is not None
+            # The router advertises the cluster's install back-off.
+            assert err.value.retry_after == 7.0
 
             # Restart heals the shard: installs land again.
             fresh.restart_primary(shard)

@@ -17,6 +17,7 @@ from repro.corpus.volga import (
     jane_preference,
 )
 from repro.net import protocol
+from repro.net.aio import serve_async
 from repro.net.client import HttpClientAgent
 from repro.net.httpd import serve
 from repro.net.retry import RetryPolicy
@@ -186,6 +187,36 @@ class TestHttpChaos:
             finally:
                 release.join()
             agent.close()
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+
+class TestAsyncChaos:
+    def test_async_front_end_takes_the_same_fault_hook(self, tmp_path):
+        """The hook sits in the shared request core, so drops and
+        truncations heal the same way on the asyncio front end."""
+        server = serve_async(str(tmp_path / "chaos-aio.db"))
+        thread = server.run_in_thread()
+        try:
+            with HttpClientAgent(server.base_url) as admin:
+                admin.install_policy(VOLGA_POLICY_XML, site=SITE,
+                                     reference_file=VOLGA_REFERENCE_XML)
+            expected = fault_free_decisions(server)
+            plan = FaultPlan(every={"request-drop": 5, "response-drop": 4,
+                                    "response-truncate": 3})
+            server.fault_hook = http_fault_hook(plan)
+            with HttpClientAgent(server.base_url, jane_preference(),
+                                 retry=FAST_RETRY) as agent:
+                decisions = [agent.check(SITE, uri).decision
+                             for uri in URIS]
+            server.fault_hook = None
+
+            assert decisions == expected
+            assert all(plan.injected[kind] > 0 for kind in
+                       ("request-drop", "response-drop",
+                        "response-truncate"))
+            assert_no_duplicate_keys(server.policy_server)
         finally:
             server.close()
             thread.join(timeout=5)

@@ -98,47 +98,6 @@ class TestBasics:
         assert 0.0 <= batching["window_occupancy"] <= 1.0
         assert batching["by_preference"]
 
-    def test_wrong_method_is_405(self, aio):
-        status, _, body = raw_request(aio, "GET", "/v1/check")
-        assert status == 405
-        assert json.loads(body)["error"]["code"] == \
-            protocol.ERR_METHOD_NOT_ALLOWED
-
-    def test_unknown_preference_hash_is_404(self, aio):
-        status, _, body = raw_request(
-            aio, "POST", "/v1/check",
-            body=protocol.encode({"site": SITE, "uri": "/x",
-                                  "preference_hash": "f" * 64}))
-        assert status == 404
-        assert json.loads(body)["error"]["code"] == \
-            protocol.ERR_UNKNOWN_PREFERENCE
-
-    def test_oversized_body_is_413(self, tmp_path):
-        server = serve_async(str(tmp_path / "small.db"),
-                             max_body_bytes=8192)
-        thread = server.run_in_thread()
-        try:
-            status, _, body = raw_request(
-                server, "POST", "/v1/preferences",
-                body=b"x" * 16384)
-            assert status == 413
-            assert json.loads(body)["error"]["code"] == \
-                protocol.ERR_PAYLOAD_TOO_LARGE
-        finally:
-            server.close()
-            thread.join(timeout=5)
-
-    def test_reference_fetch_and_revalidate(self, aio):
-        status, headers, body = raw_request(
-            aio, "GET", f"/w3c/p3p.xml?site={SITE}")
-        assert status == 200
-        assert body.decode("utf-8") == VOLGA_REFERENCE_XML
-        etag = headers["etag"]
-        status, _, _ = raw_request(aio, "GET",
-                                   f"/w3c/p3p.xml?site={SITE}",
-                                   headers={"If-None-Match": etag})
-        assert status == 304
-
 
 class TestCoalescing:
     def test_concurrent_checks_coalesce(self, aio, tmp_path):

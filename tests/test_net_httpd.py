@@ -6,6 +6,7 @@ suite parallelizes and never collides with the host.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import threading
@@ -22,8 +23,14 @@ from repro.corpus.volga import (
 )
 from repro.net import protocol
 from repro.net.admission import AdmissionController
+from repro.net.aio import AsyncP3PServer, serve_async
 from repro.net.client import HttpClientAgent
-from repro.net.httpd import P3PHttpServer, PreferenceRegistry, serve
+from repro.net.httpd import (
+    P3PHttpServer,
+    PreferenceRegistry,
+    run_to_completion,
+    serve,
+)
 from repro.server.client import ClientAgent
 from repro.server.policy_server import PolicyServer
 from repro.server.site import Site
@@ -32,9 +39,11 @@ SITE = "volga.example.com"
 
 
 @pytest.fixture()
-def httpd(tmp_path):
-    """A disk-backed HTTP server on an ephemeral port, Volga installed."""
-    server = serve(str(tmp_path / "httpd.db"))
+def httpd(request, tmp_path):
+    """A disk-backed HTTP server on an ephemeral port, Volga installed:
+    the threaded front end, or the factory a test class names in
+    ``serve`` (the parity classes below re-run against the async one)."""
+    server = getattr(request.cls, "serve", serve)(str(tmp_path / "httpd.db"))
     thread = server.run_in_thread()
     agent = HttpClientAgent(server.base_url)
     agent.install_policy(VOLGA_POLICY_XML, site=SITE,
@@ -60,9 +69,12 @@ def raw_request(httpd, method, path, body=None, headers=None):
                            headers={"Content-Type": "application/json",
                                     **(headers or {})})
         response = connection.getresponse()
-        return response.status, dict(
-            (key.lower(), value) for key, value in response.getheaders()
-        ), response.read()
+        received = dict(
+            (key.lower(), value) for key, value in response.getheaders())
+        # Every response, error envelopes and 304s included, names the
+        # server that produced it.
+        assert received.get(protocol.SERVER_ID_HEADER.lower())
+        return response.status, received, response.read()
     finally:
         connection.close()
 
@@ -113,6 +125,8 @@ class TestBasics:
 
 
 class TestErrors:
+    serve = staticmethod(serve)
+
     def test_malformed_json_is_400_bad_json(self, httpd):
         status, _, body = raw_request(httpd, "POST", "/v1/check",
                                       body=b"{not json")
@@ -164,7 +178,7 @@ class TestErrors:
             protocol.ERR_UNKNOWN_PREFERENCE
 
     def test_oversized_body_is_413(self, tmp_path):
-        server = serve(str(tmp_path / "small.db"), max_body_bytes=512)
+        server = self.serve(str(tmp_path / "small.db"), max_body_bytes=512)
         thread = server.run_in_thread()
         try:
             status, _, body = raw_request(
@@ -179,6 +193,8 @@ class TestErrors:
 
 
 class TestReferenceFileETag:
+    serve = staticmethod(serve)
+
     def test_fetch_and_revalidate(self, httpd):
         status, headers, body = raw_request(
             httpd, "GET", f"/w3c/p3p.xml?site={SITE}")
@@ -220,6 +236,66 @@ class TestReferenceFileETag:
                                       headers={"Host": f"{SITE}:80"})
         assert status == 200
         assert body.decode("utf-8") == VOLGA_REFERENCE_XML
+
+
+class TestErrorsAsync(TestErrors):
+    """Every error case again, against the asyncio front end."""
+
+    serve = staticmethod(serve_async)
+
+
+class TestReferenceFileETagAsync(TestReferenceFileETag):
+    """Reference files and ETag revalidation on the asyncio front end."""
+
+    serve = staticmethod(serve_async)
+
+
+class TestRequestCore:
+    def test_suspending_handler_is_refused_off_the_loop(self):
+        async def suspends():
+            await asyncio.sleep(0)
+
+        with pytest.raises(RuntimeError, match="suspended"):
+            run_to_completion(suspends())
+
+    @pytest.mark.parametrize("server_class", [P3PHttpServer,
+                                              AsyncP3PServer])
+    def test_failed_batch_logs_the_good_checks_before_replying(
+            self, server_class, tmp_path):
+        """A batch whose tail fails answers internal-error only after
+        every sub-batch finished and the check log was flushed: the
+        good checks are durable when the reply arrives."""
+        policy_server = PolicyServer(str(tmp_path / "batch.db"),
+                                     log_batch_size=1000)
+        policy_server.install_policy(volga_policy(), site=SITE)
+        policy_server.install_reference_file(VOLGA_REFERENCE_XML, SITE)
+        resolve = policy_server.references.applicable_policy_id
+
+        def failing_resolve(site, uri, *args, **kwargs):
+            if site == "broken.example":
+                raise RuntimeError("injected: resolution failed")
+            return resolve(site, uri, *args, **kwargs)
+
+        policy_server.references.applicable_policy_id = failing_resolve
+        server = server_class(policy_server, owns_policy_server=True)
+        thread = server.run_in_thread()
+        try:
+            with HttpClientAgent(server.base_url, jane_preference(),
+                                 retry=None) as agent:
+                agent.register_preference()
+                checks = ([(SITE, f"/catalog/good-{i}") for i in range(32)]
+                          + [("broken.example", f"/bad-{i}")
+                             for i in range(8)])
+                with pytest.raises(protocol.ProtocolError) as excinfo:
+                    agent.check_batch(checks)
+            assert excinfo.value.code == protocol.ERR_INTERNAL
+            with policy_server.pool.read() as db:
+                durable = db.scalar("SELECT COUNT(*) FROM check_log")
+            assert durable == 32
+            assert policy_server.log.pending == 0
+        finally:
+            server.close()
+            thread.join(timeout=5)
 
 
 class TestAdmissionControl:
