@@ -8,8 +8,8 @@ Two claims back the asyncio server:
   Acceptance: at 10× the connections the async server's thread growth
   stays flat (a small constant, not a function of the connection count).
 * **Batching throughput** — under the E9 skewed load (one preference,
-  eight URIs, decision cache off) the micro-batching window must beat
-  the same async server with the window closed.
+  eight URIs, decision cache off) self-clocked micro-batching
+  (``batch_max`` 32) must beat the same async server at ``batch_max=1``.
 
 Both assertions are gated on ``os.cpu_count() >= 4`` like E13: on tiny
 hosts the client threads, the loop, and the executor time-slice one

@@ -85,8 +85,8 @@ def optimized_catalog() -> Database:
     connection can see: the Section 5.2 optimized policy tables, the
     Figure 16 reference tables, the check log, and the decision cache —
     plus the ``like_pattern`` SQL function the ApplicablePolicy
-    subquery calls, registered the same way the pool's connect hook
-    registers it on every serving connection.
+    subquery calls, which the reference store registers on its
+    connection as the pool's connect hook does on every serving one.
     """
     from repro.server.policy_server import (
         _CHECK_LOG_DDL,
@@ -105,7 +105,7 @@ def optimized_catalog() -> Database:
     db.executescript(_CHECK_LOG_DDL)
     db.execute(_CHECK_LOG_KEY_INDEX)
     DecisionCache().ensure_schema(db)
-    ReferenceStore(db).register_sql_functions(db)
+    ReferenceStore(db)
     return db
 
 
@@ -242,6 +242,8 @@ def static_contracts() -> list[StatementContract]:
     )
     from repro.storage.decision_cache import DecisionCache
     from repro.storage.refstore import (
+        APPLICABLE_COOKIE_POLICY_SQL,
+        APPLICABLE_POLICY_SQL,
         INSERT_META_SQL,
         INSERT_POLICYREF_SQL,
         PATTERN_INSERT_SQL,
@@ -303,9 +305,17 @@ def static_contracts() -> list[StatementContract]:
             where=f"refstore/delete-{table}",
             sql=REFERENCE_DELETE_SQL[table], binds=1,
             writes=frozenset({table})))
-    # The ApplicablePolicy subquery inlines its literals (site and URI
+    # The ApplicablePolicy lookup the check path runs binds site and URI
+    # (the URI twice); it must prepare read-only for the replica tier.
+    contracts.append(StatementContract(
+        where="refstore/applicable-policy-bound[uri]",
+        sql=APPLICABLE_POLICY_SQL, binds=3))
+    contracts.append(StatementContract(
+        where="refstore/applicable-policy-bound[cookie]",
+        sql=APPLICABLE_COOKIE_POLICY_SQL, binds=3))
+    # The paper's Section 5.3 form inlines its literals (site and URI
     # pass through sql_literal), so a representative probe stands in
-    # for the family; it must prepare read-only for the replica tier.
+    # for that family.
     store = ReferenceStore(Database())
     for cookie in (False, True):
         label = "cookie" if cookie else "uri"

@@ -49,8 +49,9 @@ Experiment ids follow DESIGN.md:
   :class:`~repro.net.aio.AsyncP3PServer` at 10×N (the async loop plus
   its bounded executor must stay flat); (b) batching throughput — the
   E9 skewed workload (one preference, eight URIs) over the async
-  server with the cross-connection micro-batching window open vs
-  closed, decision cache off so every check reaches plan execution
+  server with cross-connection micro-batching on (``batch_max``
+  32) vs off (``batch_max`` 1), decision cache off so every check
+  reaches plan execution
 
 Absolute numbers differ from the paper's 2002 hardware + DB2 setup by
 orders of magnitude; the harness exists to reproduce the *shape* —
@@ -1343,9 +1344,9 @@ def connection_scaling_experiment(
 
 @dataclass(frozen=True)
 class BatchingLoadResult:
-    """E9's skewed workload against the async server, one window mode."""
+    """E9's skewed workload against the async server, one batching mode."""
 
-    mode: str       # "batched" (window open) or "unbatched" (window=0)
+    mode: str       # "batched" (batch_max > 1) or "unbatched" (batch_max=1)
     threads: int
     checks: int
     seconds: float
@@ -1371,7 +1372,6 @@ def batching_load_experiment(directory: str | None = None,
                              threads: int = 16,
                              checks: int = 400,
                              warmup: int = 32,
-                             window: float = 0.001,
                              max_batch: int = 32
                              ) -> list[BatchingLoadResult]:
     """E14b: does cross-connection micro-batching pay under skew?
@@ -1381,9 +1381,9 @@ def batching_load_experiment(directory: str | None = None,
     pile onto the same ``(preference, cookie)`` batch key.  Both runs
     use the async front end over identical databases with the decision
     cache off (every check must reach plan execution, the cost batching
-    amortizes); only the window differs: *window* seconds for the
-    batched run, zero (flush-per-request) for the baseline.  Timed
-    regions end with a log flush, as in E8/E9.
+    amortizes); only the batch cap differs: *max_batch* checks for the
+    batched run, one (every check its own batch) for the baseline.
+    Timed regions end with a log flush, as in E8/E9.
     """
     from repro.corpus.volga import jane_preference
     from repro.net.aio import AsyncP3PServer
@@ -1394,16 +1394,15 @@ def batching_load_experiment(directory: str | None = None,
     results: list[BatchingLoadResult] = []
 
     with tempfile.TemporaryDirectory(dir=directory) as workdir:
-        for mode, batch_window in (("unbatched", 0.0),
-                                   ("batched", window)):
+        for mode, batch_max in (("unbatched", 1),
+                                ("batched", max_batch)):
             backend = _concurrency_server(
                 os.path.join(workdir, f"{mode}.db"),
                 cache_decisions=False,
                 log_batch_size=256, log_flush_interval=0.05)
             httpd = AsyncP3PServer(backend, ("127.0.0.1", 0),
                                    max_inflight=threads * 4,
-                                   batch_window=batch_window,
-                                   batch_max=max_batch)
+                                   batch_max=batch_max)
             thread = httpd.run_in_thread()
             try:
                 bootstrap = HttpClientAgent(httpd.base_url, jane)

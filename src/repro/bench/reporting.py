@@ -404,7 +404,7 @@ def format_cluster(rows: list[ClusterResult]) -> str:
 
 def format_async(scaling: list[ConnectionScalingResult],
                  batching: list[BatchingLoadResult]) -> str:
-    """E14: connection cost per front end + the batching window's win."""
+    """E14: connection cost per front end + micro-batching's win."""
     lines = [
         "Async front end (connection cost, then micro-batching "
         "throughput)",
@@ -431,7 +431,7 @@ def format_async(scaling: list[ConnectionScalingResult],
         )
     speedup = batching_speedup(batching)
     if speedup is not None:
-        lines.append(f"(batching window win: {speedup:.2f}x over the "
+        lines.append(f"(micro-batching win: {speedup:.2f}x over the "
                      "unbatched async run; decision cache disabled)")
     return "\n".join(lines)
 

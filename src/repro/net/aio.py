@@ -12,8 +12,7 @@ module carries the paper's set-at-a-time idea across *connections*:
   threads → bounded pooled readers), so ten thousand idle keep-alive
   connections cost file descriptors, not thread stacks.
 * :class:`BatchingExecutor` — concurrent ``check()`` requests for the
-  same preference hash are held for a bounded window (a couple of
-  milliseconds, or until the batch fills) and serviced together: one
+  same ``(preference hash, cookie)`` key are serviced together: one
   reader resolves every request's applicable policy, consults the
   materialized decision cache, and repairs all misses with a single
   ``policy_id IN (...)`` micro-batch
@@ -24,14 +23,26 @@ module carries the paper's set-at-a-time idea across *connections*:
   its own ``check_key`` — retries that land in different batches still
   log at most once.
 
-Fairness and liveness: a batch never waits longer than the window (the
-first request arms a timer) and never grows past ``max_batch`` (the
-filling request flushes it), so a lone request pays at most the window
-and a storm pays amortized one statement per ``max_batch`` checks.
+Batching is self-clocked, not timed.  A check whose key has no batch
+executing is dispatched at once; checks that arrive while one executes
+join that key's next batch, which goes out when the executing batch
+returns (the hand-off runs in a ``finally``, so a failing batch never
+strands the checks queued behind it) or as soon as it holds
+``max_batch`` checks.  A lone request therefore waits for nothing, and
+a storm still coalesces: batch depth follows arrival rate × service
+time, as in Nagle's rule or group commit, with no window to tune.
+
+Failures are isolated per request where they belong to one request: a
+check whose reference resolution raises fails alone, with the exception
+the threaded front end would raise (so the request core maps it to the
+same status and code), and the rest of its batch is decided and logged.
+A failure that belongs to no single request — the bulk plan, the
+decision cache — fails every waiter of the batch.
 
 ``GET /metrics`` serves the same document as the threaded front end
-plus a ``batching`` block: batch depth, window occupancy, coalesced
-request counters, and a bounded per-preference depth map.
+plus a ``batching`` block: batch depth, occupancy, how each batch was
+dispatched, coalesced request counters, and a bounded per-preference
+depth map.
 """
 
 from __future__ import annotations
@@ -88,38 +99,44 @@ def _bucket(size: int) -> int:
 
 @dataclass
 class _Batch:
-    """One open coalescing window for a (preference, cookie) pair."""
+    """Checks of one (preference, cookie) key that are decided together."""
 
     preference: Ruleset
     cookie: bool
-    opened: float
     items: list[tuple[str, str, str | None, asyncio.Future]] = \
         field(default_factory=list)
-    timer: asyncio.TimerHandle | None = None
 
 
 class BatchingExecutor:
     """Coalesces concurrent same-preference checks into one bulk plan.
 
-    Loop-affine: :meth:`check`, the flush path and :meth:`snapshot` all
-    run on the owning event loop, so the counters need no lock.  Only
-    :meth:`_execute` — the blocking SQLite work — runs on the executor
-    pool, on its own pooled reader connection.
+    Self-clocked: a key with no batch executing dispatches a check at
+    once, and checks arriving while one executes wait for it to return
+    (or for their own batch to fill) — see the module docstring.
+
+    Loop-affine: :meth:`check`, dispatch, hand-off and :meth:`snapshot`
+    all run on the owning event loop, so the counters and the per-key
+    state need no lock.  Only :meth:`_execute` — the blocking SQLite
+    work — runs on the executor pool, on its own pooled reader
+    connection.
     """
 
     def __init__(self, policy_server: PolicyServer,
                  executor: ThreadPoolExecutor,
                  loop: asyncio.AbstractEventLoop, *,
-                 window: float = 0.0015,
                  max_batch: int = 32):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.policy_server = policy_server
-        self.window = window
         self.max_batch = max_batch
         self._executor = executor
         self._loop = loop
-        self._pending: dict[tuple[str, bool], _Batch] = {}
+        #: Batches executing now, per key; a key with none is absent.
+        self._running: dict[tuple[str, bool], int] = {}
+        #: Each busy key's next batch; present only while the key runs.
+        self._queued: dict[tuple[str, bool], _Batch] = {}
+        #: Batch services in flight (the loop holds tasks weakly).
+        self._services: set[asyncio.Task] = set()
         # -- counters (loop-affine) --
         self.requests_total = 0
         self.batches = 0
@@ -127,8 +144,9 @@ class BatchingExecutor:
         self.singleton_batches = 0
         self.depth_max = 0
         self.depth_sum = 0
-        self.window_flushes = 0      # timer fired before the batch filled
-        self.full_flushes = 0        # max_batch reached inside the window
+        self.idle_dispatches = 0     # no batch of the key was executing
+        self.handoff_flushes = 0     # an executing batch of the key returned
+        self.full_flushes = 0        # max_batch reached while the key ran
         #: Bounded per-preference depth map (most recent preferences
         #: only — the same LRU discipline as the registries).
         self._preference_depths: OrderedDict[str, dict] = OrderedDict()
@@ -141,30 +159,23 @@ class BatchingExecutor:
         """One decision, possibly served by a shared micro-batch."""
         future: asyncio.Future = self._loop.create_future()
         key = (preference_hash, cookie)
-        batch = self._pending.get(key)
-        if batch is None:
-            batch = _Batch(preference=preference, cookie=cookie,
-                           opened=self._loop.time())
-            self._pending[key] = batch
-            if self.window > 0:
-                batch.timer = self._loop.call_later(
-                    self.window, self._flush, key, "window")
-        batch.items.append((site, uri, check_key, future))
+        item = (site, uri, check_key, future)
         self.requests_total += 1
-        if len(batch.items) >= self.max_batch:
-            self._flush(key, "full")
-        elif self.window <= 0:
-            # Batching disabled: each request is its own batch (the
-            # benchmark baseline, and the safest failure posture).
-            self._flush(key, "window")
+        if key not in self._running:
+            self._dispatch(key, _Batch(preference, cookie, [item]), "idle")
+        else:
+            batch = self._queued.get(key)
+            if batch is None:
+                batch = self._queued[key] = _Batch(preference, cookie)
+            batch.items.append(item)
+            if len(batch.items) >= self.max_batch:
+                del self._queued[key]
+                self._dispatch(key, batch, "full")
         return await future
 
-    def _flush(self, key: tuple[str, bool], reason: str) -> None:
-        batch = self._pending.pop(key, None)
-        if batch is None:
-            return
-        if batch.timer is not None:
-            batch.timer.cancel()
+    def _dispatch(self, key: tuple[str, bool], batch: _Batch,
+                  reason: str) -> None:
+        self._running[key] = self._running.get(key, 0) + 1
         depth = len(batch.items)
         self.batches += 1
         self.depth_sum += depth
@@ -173,12 +184,16 @@ class BatchingExecutor:
             self.coalesced += depth
         else:
             self.singleton_batches += 1
-        if reason == "full":
+        if reason == "idle":
+            self.idle_dispatches += 1
+        elif reason == "full":
             self.full_flushes += 1
         else:
-            self.window_flushes += 1
+            self.handoff_flushes += 1
         self._record_depth(key[0], depth)
-        self._loop.create_task(self._service(batch))
+        task = self._loop.create_task(self._service(key, batch))
+        self._services.add(task)
+        task.add_done_callback(self._services.discard)
 
     def _record_depth(self, preference_hash: str, depth: int) -> None:
         label = preference_hash[:12]
@@ -193,24 +208,34 @@ class BatchingExecutor:
         while len(self._preference_depths) > PREFERENCE_DEPTHS:
             self._preference_depths.popitem(last=False)
 
-    async def _service(self, batch: _Batch) -> None:
+    async def _service(self, key: tuple[str, bool], batch: _Batch) -> None:
         try:
-            results = await self._loop.run_in_executor(
+            outcomes = await self._loop.run_in_executor(
                 self._executor, self._execute, batch)
         except Exception as exc:     # noqa: BLE001 — fail the waiters, not the loop
-            for _, _, _, future in batch.items:
-                if not future.done():
-                    future.set_exception(protocol.ProtocolError(
-                        protocol.ERR_INTERNAL,
-                        f"{type(exc).__name__}: {exc}"))
-            return
-        for (_, _, _, future), result in zip(batch.items, results):
-            if not future.done():
-                future.set_result(result)
+            outcomes = [exc] * len(batch.items)
+        finally:
+            self._hand_off(key)
+        for (_, _, _, future), outcome in zip(batch.items, outcomes):
+            if future.done():
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    def _hand_off(self, key: tuple[str, bool]) -> None:
+        """A batch of *key* returned: dispatch the key's next batch."""
+        self._running[key] -= 1
+        queued = self._queued.pop(key, None)
+        if queued is not None:
+            self._dispatch(key, queued, "handoff")
+        elif not self._running[key]:
+            del self._running[key]
 
     # -- execution (executor thread) ------------------------------------------
 
-    def _execute(self, batch: _Batch) -> list[CheckResult]:
+    def _execute(self, batch: _Batch) -> list[CheckResult | Exception]:
         """Decide every request in *batch* with one reader and (at
         most) one micro-batch statement per :func:`_bucket` chunk.
 
@@ -221,19 +246,28 @@ class BatchingExecutor:
         idempotent log append per request.  ``elapsed_seconds`` is the
         batch's wall time — the latency every coalesced waiter actually
         paid.
+
+        Returns one outcome per request, in order: its result, or the
+        exception its reference lookup raised (that request is neither
+        decided nor logged, as on the threaded path).  Anything else
+        that raises fails the whole batch.
         """
         server = self.policy_server
         start = time.perf_counter()
         key = PolicyServer._preference_hash(batch.preference)
-        resolved: list[int | None] = []
+        resolved: list[int | None | Exception] = []
         decided: dict[int, tuple[str | None, int | None]] = {}
         write_back: list[tuple] = []
         with server.pool.read() as db:
             for site, uri, _, _ in batch.items:
-                resolved.append(server.references.applicable_policy_id(
-                    site, uri, cookie=batch.cookie, db=db))
+                try:
+                    resolved.append(server.references.applicable_policy_id(
+                        site, uri, cookie=batch.cookie, db=db))
+                except Exception as exc:  # noqa: BLE001 — this request's failure
+                    resolved.append(exc)
             distinct = list(dict.fromkeys(
-                pid for pid in resolved if pid is not None))
+                pid for pid in resolved
+                if pid is not None and not isinstance(pid, Exception)))
             missing: list[int] = []
             for policy_id in distinct:
                 cached = (server.decisions.lookup(db, key, policy_id)
@@ -277,9 +311,12 @@ class BatchingExecutor:
         if write_back:
             server._store_decisions(write_back, best_effort=True)
         elapsed = time.perf_counter() - start
-        results: list[CheckResult] = []
+        outcomes: list[CheckResult | Exception] = []
         for (site, uri, check_key, _), policy_id in zip(batch.items,
                                                         resolved):
+            if isinstance(policy_id, Exception):
+                outcomes.append(policy_id)
+                continue
             behavior, rule_index = (decided.get(policy_id, (None, None))
                                     if policy_id is not None
                                     else (None, None))
@@ -287,14 +324,13 @@ class BatchingExecutor:
                                  behavior=behavior, rule_index=rule_index,
                                  elapsed_seconds=elapsed)
             server._log(result, batch.preference, check_key)
-            results.append(result)
-        return results
+            outcomes.append(result)
+        return outcomes
 
     # -- introspection (event loop) -------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         return {
-            "window_seconds": self.window,
             "max_batch": self.max_batch,
             "requests": self.requests_total,
             "batches": self.batches,
@@ -303,12 +339,13 @@ class BatchingExecutor:
             "depth_max": self.depth_max,
             "depth_avg": (self.depth_sum / self.batches
                           if self.batches else 0.0),
-            # Fraction of the batch capacity the windows actually used:
-            # 1.0 means every flush was full, ~0 means no coalescing.
+            # Fraction of the batch capacity the batches actually used:
+            # 1.0 means every batch was full, ~0 means no coalescing.
             "window_occupancy": (self.depth_sum
                                  / (self.batches * self.max_batch)
                                  if self.batches else 0.0),
-            "window_flushes": self.window_flushes,
+            "idle_dispatches": self.idle_dispatches,
+            "handoff_flushes": self.handoff_flushes,
             "full_flushes": self.full_flushes,
             "by_preference": {label: dict(entry) for label, entry
                               in self._preference_depths.items()},
@@ -323,19 +360,17 @@ class AsyncP3PServer(PolicyService):
     :class:`~repro.net.httpd.PolicyService`), same lifecycle
     (``serve_forever`` / ``run_in_thread`` / ``shutdown`` / ``close``)
     — the cluster worker and the CLI treat the two interchangeably.
-    The constructor takes the batching knobs plus every
-    ``PolicyService`` keyword.  The listening socket is bound in the
+    The constructor takes the batch cap plus every ``PolicyService``
+    keyword.  The listening socket is bound in the
     constructor (port 0 works), so ``base_url`` is valid before the loop
     starts, exactly like the threaded server.
     """
 
     def __init__(self, policy_server: PolicyServer,
                  address: tuple[str, int] = ("127.0.0.1", 0), *,
-                 batch_window: float = 0.0015,
                  batch_max: int = 32,
                  **options: Any):
         super().__init__(policy_server, address, **options)
-        self.batch_window = batch_window
         self.batch_max = batch_max
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS, thread_name_prefix="p3p-aio-db")
@@ -440,7 +475,7 @@ class AsyncP3PServer(PolicyService):
     async def _serve(self, loop: asyncio.AbstractEventLoop) -> None:
         self.batching = BatchingExecutor(
             self.policy_server, self._executor, loop,
-            window=self.batch_window, max_batch=self.batch_max)
+            max_batch=self.batch_max)
         self._stop = asyncio.Event()
         server = await asyncio.start_server(self._handle_connection,
                                             sock=self._socket)

@@ -14,7 +14,7 @@ import sqlite3
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from repro.errors import StorageError
 
@@ -126,9 +126,12 @@ class ExplainStep:
 
     @property
     def uses_index(self) -> bool:
+        """True for a step that probes an index; ``USING PRIMARY KEY`` is
+        the clustered key of a ``WITHOUT ROWID`` table."""
         return ("USING INDEX" in self.detail
                 or "USING COVERING INDEX" in self.detail
                 or "USING INTEGER PRIMARY KEY" in self.detail
+                or "USING PRIMARY KEY" in self.detail
                 or "USING ROWID SEARCH" in self.detail)
 
     @property
@@ -192,6 +195,16 @@ class Database:
         row = self._connection.execute("PRAGMA journal_mode=WAL").fetchone()
         self.wal = row[0] == "wal"
         return self.wal
+
+    def create_function(self, name: str, narg: int,
+                        func: Callable[..., Any]) -> None:
+        """Register deterministic Python *func* as SQL function *name*.
+
+        Redefining a function expires every statement this connection
+        has prepared, so register once per connection.
+        """
+        self._connection.create_function(name, narg, func,
+                                         deterministic=True)
 
     def restore_backup(self, source_path: str, *,
                        timeout: float = 30.0) -> None:

@@ -21,6 +21,11 @@ by it cannot rot.  Two structural defenses back that argument up:
   installer's write transaction — incremental garbage collection, not a
   correctness requirement.
 
+The table is ``WITHOUT ROWID``: rows are stored in primary-key order,
+so a lookup is one clustered-key probe, and the delete an install runs
+(one row per registered preference, clustered by ``pref_hash``) dirties
+one b-tree per row instead of a rowid table plus its key index.
+
 All SQL here is static text over storage-layer tables; the serving
 layer calls these methods with a pooled connection and never assembles
 cache SQL itself.
@@ -32,6 +37,7 @@ import datetime
 import threading
 from typing import Any, Iterable, Sequence
 
+from repro.errors import StorageError
 from repro.storage.database import Database
 
 DECISION_CACHE_DDL = """
@@ -43,7 +49,22 @@ CREATE TABLE IF NOT EXISTS decision_cache (
   rule_index      INTEGER,
   computed_at     TEXT NOT NULL,
   PRIMARY KEY (pref_hash, policy_id, policy_version)
-);
+) WITHOUT ROWID;
+"""
+
+_COLUMNS = ("pref_hash, policy_id, policy_version, behavior, rule_index, "
+            "computed_at")
+
+#: Rebuilds a rowid ``decision_cache`` (stores written before the table
+#: was clustered) as the table above, rows kept, in one transaction.
+_CLUSTER_MIGRATION = f"""
+BEGIN;
+ALTER TABLE decision_cache RENAME TO decision_cache_rowid;
+{DECISION_CACHE_DDL}
+INSERT INTO decision_cache ({_COLUMNS})
+  SELECT {_COLUMNS} FROM decision_cache_rowid;
+DROP TABLE decision_cache_rowid;
+COMMIT;
 """
 
 #: Columns added after the table first shipped (forward migration).
@@ -123,9 +144,19 @@ class DecisionCache:
     # -- schema ---------------------------------------------------------------
 
     def ensure_schema(self, db: Database) -> None:
-        """Create the table (and migrate an older one forward)."""
+        """Create the table, or migrate an older one forward: add the
+        columns it lacks, then cluster a rowid table (rows kept)."""
         db.executescript(DECISION_CACHE_DDL)
         db.ensure_columns("decision_cache", _MIGRATED_COLUMNS)
+        table_sql = db.scalar(
+            "SELECT sql FROM sqlite_master "
+            "WHERE type = 'table' AND name = 'decision_cache'")
+        if "WITHOUT ROWID" not in table_sql.upper():
+            try:
+                db.executescript(_CLUSTER_MIGRATION)
+            except StorageError:
+                db.rollback()
+                raise
 
     # -- reads ----------------------------------------------------------------
 

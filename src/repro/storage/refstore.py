@@ -5,7 +5,8 @@ ApplicablePolicy`` where ApplicablePolicy is "a subquery that queries
 tables storing the data from the P3P reference file, and returns the id of
 the applicable policy against which the rule must be evaluated".
 :meth:`ReferenceStore.applicable_policy_subquery` generates exactly that
-subquery; :meth:`applicable_policy_id` runs it standalone.
+subquery; :meth:`applicable_policy_id` runs the same statement with site
+and URI bound instead of inlined (:data:`APPLICABLE_POLICY_SQL`).
 
 URI wildcard matching (P3P ``*`` patterns) is compiled to SQL ``LIKE`` with
 escaping, so the whole lookup runs inside the database.
@@ -20,6 +21,12 @@ from repro.storage.optimized_schema import create_reference_schema
 from repro.storage.shredder import PolicyStore
 
 _LIKE_ESCAPE = "\\"
+#: SQLite's LIKE reads a string only up to its first NUL, so a URI is
+#: bound with each NUL replaced by U+FFFF.  XML allows neither
+#: character, so no reference-file pattern holds one, and only a ``*``
+#: wildcard matches either — as ``.`` does in
+#: :func:`repro.p3p.reference.uri_matches`.
+_NUL_STAND_IN = "\uffff"
 
 #: Shredding statements as named constants: the sqlcheck contract gate
 #: imports these and validates each against the reference schema, so a
@@ -74,6 +81,7 @@ class ReferenceStore:
     def __init__(self, db: Database | None = None):
         self.db = db if db is not None else Database()
         create_reference_schema(self.db)
+        self.register_sql_functions()
 
     # -- installation -----------------------------------------------------------
 
@@ -160,48 +168,67 @@ class ReferenceStore:
         order whose INCLUDE patterns cover *uri* and whose EXCLUDE patterns
         do not.
         """
-        include_table = "cookie_include" if cookie else "include"
-        exclude_table = "cookie_exclude" if cookie else "exclude"
-        site_lit = sql_literal(site)
-        uri_lit = sql_literal(uri)
-        escape = sql_literal(_LIKE_ESCAPE)
-        return (
-            "SELECT policyref.policy_id AS policy_id\n"
-            "FROM policyref, meta\n"
-            "WHERE policyref.meta_id = meta.meta_id\n"
-            f"  AND meta.site = {site_lit}\n"
-            "  AND EXISTS (\n"
-            f"    SELECT * FROM {include_table}\n"
-            f"    WHERE {include_table}.policyref_id = policyref.policyref_id\n"
-            f"      AND {include_table}.meta_id = policyref.meta_id\n"
-            f"      AND {uri_lit} LIKE like_pattern({include_table}.pattern) "
-            f"ESCAPE {escape})\n"
-            "  AND NOT EXISTS (\n"
-            f"    SELECT * FROM {exclude_table}\n"
-            f"    WHERE {exclude_table}.policyref_id = policyref.policyref_id\n"
-            f"      AND {exclude_table}.meta_id = policyref.meta_id\n"
-            f"      AND {uri_lit} LIKE like_pattern({exclude_table}.pattern) "
-            f"ESCAPE {escape})\n"
-            "ORDER BY policyref.meta_id, policyref.policyref_id\n"
-            "LIMIT 1"
-        )
+        return _applicable_policy_sql(sql_literal(site), sql_literal(uri),
+                                      cookie)
 
     def register_sql_functions(self, db: Database | None = None) -> None:
-        """Register the ``like_pattern`` SQL function on *db* (idempotent)."""
+        """Register the ``like_pattern`` SQL function on *db*.
+
+        Once per connection: redefining a function expires every
+        statement the connection has prepared.  The store registers it
+        on its own connection; a pool's connect hook does it for every
+        other connection the lookup runs on.
+        """
         target = db if db is not None else self.db
-        target._connection.create_function(  # noqa: SLF001 - same package
-            "like_pattern", 1, pattern_to_like, deterministic=True
-        )
+        target.create_function("like_pattern", 1, pattern_to_like)
 
     def applicable_policy_id(self, site: str, uri: str,
                              cookie: bool = False,
                              db: Database | None = None) -> int | None:
-        """Run the ApplicablePolicy subquery; None if no policy covers *uri*.
+        """Run the ApplicablePolicy lookup; None if no policy covers *uri*.
 
+        Site and URI are bound, not inlined, so request data never
+        becomes SQL text and every lookup reuses one prepared statement.
         Pass *db* to run the lookup on another connection to the same
-        database (e.g. a pooled per-thread reader).
+        database (e.g. a pooled per-thread reader with ``like_pattern``
+        registered).
         """
         target = db if db is not None else self.db
-        self.register_sql_functions(target)
-        return target.scalar(self.applicable_policy_subquery(site, uri,
-                                                             cookie))
+        bound = uri.replace("\0", _NUL_STAND_IN)
+        return target.scalar(
+            APPLICABLE_COOKIE_POLICY_SQL if cookie else APPLICABLE_POLICY_SQL,
+            (site, bound, bound))
+
+
+def _applicable_policy_sql(site: str, uri: str, cookie: bool) -> str:
+    """The ApplicablePolicy subquery over the SQL expressions *site* and
+    *uri* (literals, or ``?`` binds)."""
+    include_table = "cookie_include" if cookie else "include"
+    exclude_table = "cookie_exclude" if cookie else "exclude"
+    escape = sql_literal(_LIKE_ESCAPE)
+    return (
+        "SELECT policyref.policy_id AS policy_id\n"
+        "FROM policyref, meta\n"
+        "WHERE policyref.meta_id = meta.meta_id\n"
+        f"  AND meta.site = {site}\n"
+        "  AND EXISTS (\n"
+        f"    SELECT * FROM {include_table}\n"
+        f"    WHERE {include_table}.policyref_id = policyref.policyref_id\n"
+        f"      AND {include_table}.meta_id = policyref.meta_id\n"
+        f"      AND {uri} LIKE like_pattern({include_table}.pattern) "
+        f"ESCAPE {escape})\n"
+        "  AND NOT EXISTS (\n"
+        f"    SELECT * FROM {exclude_table}\n"
+        f"    WHERE {exclude_table}.policyref_id = policyref.policyref_id\n"
+        f"      AND {exclude_table}.meta_id = policyref.meta_id\n"
+        f"      AND {uri} LIKE like_pattern({exclude_table}.pattern) "
+        f"ESCAPE {escape})\n"
+        "ORDER BY policyref.meta_id, policyref.policyref_id\n"
+        "LIMIT 1"
+    )
+
+
+#: The lookup :meth:`ReferenceStore.applicable_policy_id` runs, one
+#: static statement per cookie flag; binds ``(site, uri, uri)``.
+APPLICABLE_POLICY_SQL = _applicable_policy_sql("?", "?", cookie=False)
+APPLICABLE_COOKIE_POLICY_SQL = _applicable_policy_sql("?", "?", cookie=True)

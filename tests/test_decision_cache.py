@@ -26,8 +26,10 @@ from hypothesis.stateful import (
 )
 import hypothesis.strategies as st
 
+from repro.analysis.plans import audit_decision_lookup
 from repro.appel.engine import AppelEngine
 from repro.corpus.preferences import jrc_suite
+from repro.errors import StorageError
 from repro.p3p.model import Policy, PurposeValue, RecipientValue, Statement
 from repro.server.policy_server import PolicyServer
 from repro.storage.database import Database
@@ -38,6 +40,20 @@ from repro.storage.decision_cache import (
 )
 from repro.storage.shredder import PolicyStore
 from repro.testing.faults import FaultPlan, crash_pool, install_pool_faults
+
+#: The decision cache as stores before clustering hold it: a rowid
+#: table plus a separate primary-key index.
+_ROWID_DECISION_CACHE_DDL = """
+CREATE TABLE decision_cache (
+  pref_hash       TEXT NOT NULL,
+  policy_id       INTEGER NOT NULL,
+  policy_version  INTEGER NOT NULL,
+  behavior        TEXT,
+  rule_index      INTEGER,
+  computed_at     TEXT NOT NULL,
+  PRIMARY KEY (pref_hash, policy_id, policy_version)
+);
+"""
 
 _NAMES = ("alpha", "beta")
 _RETENTIONS = ("no-retention", "stated-purpose", "indefinitely")
@@ -129,6 +145,81 @@ class TestCacheTable:
             " PRIMARY KEY (pref_hash, policy_id, policy_version));")
         DecisionCache().ensure_schema(store.db)
         assert "computed_at" in store.db.table_columns("decision_cache")
+
+    def test_table_is_clustered_on_its_primary_key(self, store, cache):
+        table_sql = store.db.scalar(
+            "SELECT sql FROM sqlite_master WHERE name = 'decision_cache'")
+        assert "WITHOUT ROWID" in table_sql
+        policy_id = store.install_policy(_policy("a", "no-retention"),
+                                         version=1).policy_id
+        assert audit_decision_lookup(store.db, DecisionCache.LOOKUP_SQL,
+                                     ("h", policy_id)) == []
+
+    def test_rowid_store_is_clustered_with_rows_kept(self, tmp_path):
+        """A store written with the rowid table (and its separate
+        primary-key index) opens clustered, every cached row intact."""
+        path = str(tmp_path / "rowid.db")
+        legacy = PolicyStore(Database(path))
+        ids = [legacy.install_policy(_policy(f"p{index}", "no-retention"),
+                                     version=1).policy_id
+               for index in range(3)]
+        legacy.db.executescript(_ROWID_DECISION_CACHE_DDL)
+        stamp = utc_now_iso()
+        legacy.db.executemany(
+            "INSERT INTO decision_cache VALUES (?, ?, ?, ?, ?, ?)",
+            [("h", policy_id, 1, "block" if policy_id == ids[0] else None,
+              0 if policy_id == ids[0] else None, stamp)
+             for policy_id in ids])
+        legacy.db.commit()
+        legacy.db.close()
+
+        server = PolicyServer(path)
+        try:
+            with server.pool.read() as db:
+                table_sql = db.scalar(
+                    "SELECT sql FROM sqlite_master "
+                    "WHERE name = 'decision_cache'")
+                assert "WITHOUT ROWID" in table_sql
+                assert db.scalar(
+                    "SELECT COUNT(*) FROM sqlite_master "
+                    "WHERE tbl_name LIKE 'decision_cache%'") == 1
+                assert server.decisions.row_count(db) == 3
+                assert server.decisions.lookup(db, "h", ids[0]) == \
+                    ("block", 0)
+                assert server.decisions.lookup(db, "h", ids[1]) == \
+                    (None, None)
+        finally:
+            server.close()
+
+    def test_failed_clustering_leaves_the_rowid_table(self, store):
+        """The rebuild is one transaction: a failure in its last step
+        rolls every step back."""
+        store.db.executescript(_ROWID_DECISION_CACHE_DDL)
+        policy_id = store.install_policy(_policy("a", "no-retention"),
+                                         version=1).policy_id
+        DecisionCache().store_rows(
+            store.db, [("h", policy_id, 1, "block", 0, utc_now_iso())])
+        store.db.commit()
+
+        def refuse_drop(action, table, *_):
+            return (sqlite3.SQLITE_DENY
+                    if action == sqlite3.SQLITE_DROP_TABLE
+                    else sqlite3.SQLITE_OK)
+
+        store.db._connection.set_authorizer(refuse_drop)
+        with pytest.raises(StorageError):
+            DecisionCache().ensure_schema(store.db)
+        store.db._connection.set_authorizer(None)
+        assert store.db.scalar(
+            "SELECT sql FROM sqlite_master WHERE name = 'decision_cache'"
+        ) == _ROWID_DECISION_CACHE_DDL.strip().rstrip(";")
+        assert "decision_cache_rowid" not in store.db.scalar(
+            "SELECT group_concat(name) FROM sqlite_master")
+        assert DecisionCache().lookup(store.db, "h", policy_id) == \
+            ("block", 0)
+        DecisionCache().ensure_schema(store.db)
+        assert DecisionCache().lookup(store.db, "h", policy_id) == \
+            ("block", 0)
 
     def test_snapshot_reports_hit_rate(self, cache):
         cache.record_hits(3, 1)

@@ -11,7 +11,9 @@ batch boundaries and count log rows.
 
 from __future__ import annotations
 
+import asyncio
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -25,7 +27,7 @@ from repro.corpus.volga import (
     volga_policy,
 )
 from repro.net import protocol
-from repro.net.aio import AsyncP3PServer, serve_async
+from repro.net.aio import AsyncP3PServer, BatchingExecutor, serve_async
 from repro.net.client import HttpClientAgent
 from repro.server.policy_server import PolicyServer
 
@@ -96,14 +98,15 @@ class TestBasics:
         assert batching["batches"] >= 1
         assert batching["depth_max"] >= 1
         assert 0.0 <= batching["window_occupancy"] <= 1.0
+        assert "window_seconds" not in batching
         assert batching["by_preference"]
 
 
 class TestCoalescing:
     def test_concurrent_checks_coalesce(self, aio, tmp_path):
-        """Concurrent same-preference checks share micro-batches: with
-        a generous window, 8 clients × 10 checks must produce far fewer
-        batches than requests."""
+        """Concurrent same-preference checks share micro-batches: the
+        checks that arrive while a batch executes leave together, so
+        8 clients × 10 checks produce fewer batches than requests."""
         jane = jane_preference()
         bootstrap = HttpClientAgent(aio.base_url, jane)
         digest = bootstrap.register_preference()
@@ -127,6 +130,134 @@ class TestCoalescing:
         assert batches < requests
         assert after["coalesced"] > before["coalesced"]
         assert after["depth_max"] >= 2
+
+
+class _HeldBatching(BatchingExecutor):
+    """Every batch blocks in ``_execute`` until ``gate`` opens; a batch
+    holding ``/fail`` then raises.  Decisions are stand-in strings."""
+
+    def __init__(self, loop, executor, **options):
+        super().__init__(None, executor, loop, **options)
+        self.gate = threading.Event()
+        self.entered = threading.Semaphore(0)
+        self.executed: list[list[str]] = []
+
+    def _execute(self, batch):
+        uris = [uri for _, uri, _, _ in batch.items]
+        self.executed.append(uris)
+        self.entered.release()
+        self.gate.wait(10)
+        if "/fail" in uris:
+            raise RuntimeError("injected: batch failed")
+        return [f"decided {uri}" for uri in uris]
+
+    async def batch_entered(self) -> bool:
+        """Wait (off the loop) until one more batch is in ``_execute``."""
+        return await asyncio.to_thread(self.entered.acquire, True, 10)
+
+    def submit(self, uri: str) -> asyncio.Task:
+        return asyncio.create_task(self.check(
+            "pref-hash", jane_preference(), site=SITE, uri=uri))
+
+    async def settle(self, requests: int) -> None:
+        """Yield to the loop until *requests* checks have been submitted."""
+        for _ in range(100):
+            if self.requests_total >= requests:
+                return
+            await asyncio.sleep(0)
+        raise AssertionError(f"only {self.requests_total} checks arrived")
+
+
+def _run_held(scenario, **options) -> None:
+    """Run *scenario(batching)* on a fresh loop with a 2-thread executor."""
+    async def main():
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            batching = _HeldBatching(asyncio.get_running_loop(), executor,
+                                     **options)
+            try:
+                # A stranded check fails the test instead of hanging it.
+                await asyncio.wait_for(scenario(batching), 30)
+            finally:
+                batching.gate.set()
+
+    asyncio.run(main())
+
+
+class TestSelfClockedBatching:
+    """Dispatch follows the executing batch, never a timer.  Every batch
+    is held in ``_execute`` until the test opens the gate, so what leaves
+    together is decided by arrival order alone."""
+
+    def test_lone_check_dispatches_with_no_timer_armed(self):
+        async def scenario(batching):
+            loop = asyncio.get_running_loop()
+            timers = []
+            for name in ("call_later", "call_at"):
+                def record(*args, _arm=getattr(loop, name), **kwargs):
+                    timers.append(args)
+                    return _arm(*args, **kwargs)
+                setattr(loop, name, record)
+            lone = batching.submit("/lone")
+            assert await batching.batch_entered()
+            assert batching.executed == [["/lone"]]
+            assert timers == []
+            batching.gate.set()
+            assert await lone == "decided /lone"
+            snapshot = batching.snapshot()
+            assert snapshot["idle_dispatches"] == 1
+            assert snapshot["batches"] == 1
+
+        _run_held(scenario)
+
+    def test_checks_arriving_during_a_batch_leave_as_one(self):
+        async def scenario(batching):
+            first = batching.submit("/first")
+            assert await batching.batch_entered()
+            queued = [batching.submit(f"/q{i}") for i in range(5)]
+            await batching.settle(6)
+            assert batching.executed == [["/first"]]
+            batching.gate.set()
+            results = await asyncio.gather(first, *queued)
+            assert batching.executed == [["/first"],
+                                         [f"/q{i}" for i in range(5)]]
+            assert results == ["decided /first"] + [
+                f"decided /q{i}" for i in range(5)]
+            snapshot = batching.snapshot()
+            assert snapshot["handoff_flushes"] == 1
+            assert snapshot["depth_max"] == 5
+            assert snapshot["coalesced"] == 5
+
+        _run_held(scenario)
+
+    def test_full_batch_leaves_while_another_runs(self):
+        async def scenario(batching):
+            first = batching.submit("/first")
+            assert await batching.batch_entered()
+            full = [batching.submit(f"/f{i}") for i in range(3)]
+            await batching.settle(4)
+            # /first is still held, yet the full batch is executing.
+            assert await batching.batch_entered()
+            assert batching.executed == [["/first"], ["/f0", "/f1", "/f2"]]
+            assert batching.snapshot()["full_flushes"] == 1
+            batching.gate.set()
+            await asyncio.gather(first, *full)
+
+        _run_held(scenario, max_batch=3)
+
+    def test_failing_batch_releases_the_checks_queued_behind_it(self):
+        async def scenario(batching):
+            failing = batching.submit("/fail")
+            assert await batching.batch_entered()
+            queued = [batching.submit(f"/q{i}") for i in range(3)]
+            await batching.settle(4)
+            batching.gate.set()
+            with pytest.raises(RuntimeError, match="injected"):
+                await failing
+            assert await asyncio.gather(*queued) == [
+                f"decided /q{i}" for i in range(3)]
+            assert batching.executed == [["/fail"], ["/q0", "/q1", "/q2"]]
+
+        _run_held(scenario)
 
 
 def _install_corpus(base_url: str, entries) -> None:
@@ -169,8 +300,7 @@ class TestDifferentialCorpus:
             for site, uri in requests
         }
 
-        server = serve_async(str(tmp_path / f"diff-{level}.db"),
-                             batch_window=0.005)
+        server = serve_async(str(tmp_path / f"diff-{level}.db"))
         thread = server.run_in_thread()
         try:
             _install_corpus(server.base_url, corpus)

@@ -10,6 +10,8 @@ import asyncio
 import http.client
 import json
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -21,6 +23,7 @@ from repro.corpus.volga import (
     jane_preference,
     volga_policy,
 )
+from repro.errors import StorageError
 from repro.net import protocol
 from repro.net.admission import AdmissionController
 from repro.net.aio import AsyncP3PServer, serve_async
@@ -31,6 +34,7 @@ from repro.net.httpd import (
     run_to_completion,
     serve,
 )
+from repro.p3p.reference import parse_reference_file
 from repro.server.client import ClientAgent
 from repro.server.policy_server import PolicyServer
 from repro.server.site import Site
@@ -293,6 +297,108 @@ class TestRequestCore:
                 durable = db.scalar("SELECT COUNT(*) FROM check_log")
             assert durable == 32
             assert policy_server.log.pending == 0
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+
+class TestFailureIsolation:
+    """A check whose resolution fails fails alone, on both front ends:
+    the good check beside it is answered, and the failure maps to the
+    same status and code as on the threaded path."""
+
+    @pytest.mark.parametrize("error, status, code", [
+        (RuntimeError, 500, protocol.ERR_INTERNAL),
+        (StorageError, 422, protocol.ERR_PARSE),
+    ])
+    @pytest.mark.parametrize("server_class", [P3PHttpServer,
+                                              AsyncP3PServer])
+    def test_failed_resolution_fails_only_its_check(
+            self, server_class, error, status, code, tmp_path):
+        policy_server = PolicyServer(str(tmp_path / "isolate.db"))
+        policy_server.install_policy(volga_policy(), site=SITE)
+        policy_server.install_reference_file(VOLGA_REFERENCE_XML, SITE)
+        resolve = policy_server.references.applicable_policy_id
+        held, release = threading.Event(), threading.Event()
+
+        def resolve_or_fail(site, uri, *args, **kwargs):
+            if site == "held.example":
+                held.set()
+                release.wait(10)
+            elif site == "broken.example":
+                raise error("injected: resolution failed")
+            return resolve(site, uri, *args, **kwargs)
+
+        policy_server.references.applicable_policy_id = resolve_or_fail
+        server = server_class(policy_server, owns_policy_server=True)
+        thread = server.run_in_thread()
+        try:
+            with HttpClientAgent(server.base_url, jane_preference()) as agent:
+                digest = agent.register_preference()
+
+            def check(site, uri):
+                return raw_request(server, "POST", "/v1/check",
+                                   body=protocol.encode(
+                                       protocol.CheckRequest(
+                                           site=site, uri=uri,
+                                           preference_hash=digest,
+                                           check_key=f"key-{uri}",
+                                       ).to_wire()))
+
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                # On the async front end the held check keeps its key
+                # busy, so the failing and the good check queue behind
+                # it and leave together as one batch.
+                first = pool.submit(check, "held.example", "/held")
+                assert held.wait(10)
+                bad = pool.submit(check, "broken.example", "/bad")
+                good = pool.submit(check, SITE, "/catalog/good")
+                if server_class is AsyncP3PServer:
+                    deadline = time.monotonic() + 10
+                    while (server.batching.requests_total < 3
+                           and time.monotonic() < deadline):
+                        time.sleep(0.001)
+                release.set()
+                results = [future.result() for future in
+                           (first, bad, good)]
+            if server_class is AsyncP3PServer:
+                assert server.batching.depth_max == 2
+            (held_status, _, _), (bad_status, _, bad_body), \
+                (good_status, _, good_body) = results
+            assert held_status == 200
+            assert bad_status == status
+            assert json.loads(bad_body)["error"]["code"] == code
+            assert good_status == 200
+            assert json.loads(good_body)["policy_id"] is not None
+            policy_server.flush_log()
+            with policy_server.pool.read() as db:
+                logged = {row["check_key"] for row in db.query(
+                    "SELECT check_key FROM check_log")}
+            assert logged == {"key-/held", "key-/catalog/good"}
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+    @pytest.mark.parametrize("server_class", [P3PHttpServer,
+                                              AsyncP3PServer])
+    def test_nul_in_uri_resolves_like_any_other_uri(self, server_class,
+                                                    tmp_path):
+        """Site and URI are bound, never spliced into SQL: a NUL (valid
+        JSON) is decided by the reference file, not refused."""
+        policy_server = PolicyServer(str(tmp_path / "nul.db"))
+        policy_server.install_policy(volga_policy(), site=SITE)
+        policy_server.install_reference_file(VOLGA_REFERENCE_XML, SITE)
+        reference = parse_reference_file(VOLGA_REFERENCE_XML)
+        server = server_class(policy_server, owns_policy_server=True)
+        thread = server.run_in_thread()
+        try:
+            with HttpClientAgent(server.base_url, jane_preference(),
+                                 retry=None) as agent:
+                for uri in ("/catalog/x\u0000y", "/legacy/x\u0000y",
+                            "/leg\u0000acy/x"):
+                    result = agent.check(SITE, uri)
+                    assert result.covered == (
+                        reference.applicable_policy(uri) is not None), uri
         finally:
             server.close()
             thread.join(timeout=5)

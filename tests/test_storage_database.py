@@ -227,6 +227,15 @@ class TestExplain:
         (step,) = db.explain("SELECT * FROM t WHERE id = ?", (7,))
         assert step.uses_index and not step.is_scan
 
+    def test_clustered_primary_key_lookup_is_an_index_probe(self, db):
+        db.execute("CREATE TABLE c (k TEXT, n INTEGER, v TEXT, "
+                   "PRIMARY KEY (k, n)) WITHOUT ROWID")
+        (step,) = db.explain("SELECT v FROM c WHERE k = ?", ("a",))
+        assert "USING PRIMARY KEY" in step.detail
+        assert step.uses_index and not step.is_scan
+        (step,) = db.explain("SELECT v FROM c WHERE v = ?", ("a",))
+        assert step.is_scan and not step.uses_index
+
     def test_full_scan_reported_as_scan(self, db):
         (step,) = db.explain("SELECT * FROM t WHERE name = ?", ("row3",))
         assert step.is_scan and not step.uses_index

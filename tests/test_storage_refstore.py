@@ -2,8 +2,13 @@
 
 import pytest
 
-from repro.corpus.volga import VOLGA_REFERENCE_XML
+from repro.corpus.volga import (
+    VOLGA_REFERENCE_XML,
+    jane_preference,
+    volga_policy,
+)
 from repro.errors import ReferenceFileError
+from repro.net.aio import BatchingExecutor, _Batch
 from repro.p3p.reference import (
     PolicyRef,
     ReferenceFile,
@@ -11,6 +16,7 @@ from repro.p3p.reference import (
 )
 from repro.storage.database import Database
 from repro.storage.refstore import ReferenceStore, pattern_to_like
+from repro.server.policy_server import PolicyServer
 from repro.storage.shredder import PolicyStore
 
 
@@ -149,3 +155,82 @@ class TestInstallation:
             )
         assert references.applicable_policy_id("a.example.com", "/") == 1
         assert references.applicable_policy_id("b.example.com", "/") == 2
+
+
+class TestBoundLookup:
+    """The lookup binds site and URI: request data never becomes SQL
+    text, and every URI resolves as the parsed reference file says."""
+
+    ODD = ("/100%/*", "/a_b/*", "/back\\slash/*", "/it's/*")
+    REFERENCE = ReferenceFile(refs=(
+        PolicyRef(about="#exact", includes=("/exact",),
+                  cookie_includes=("/exact",)),
+        PolicyRef(about="#odd", includes=ODD, cookie_includes=ODD),
+        PolicyRef(about="#site", includes=("/*",), excludes=("/private/*",),
+                  cookie_includes=("/*",), cookie_excludes=("/private/*",)),
+    ))
+    IDS = {"exact": 1, "odd": 2, "site": 3}
+    URIS = (
+        "/exact", "/exact\0", "/exact\0tail", "/ex\0act",
+        "/private/a\0b", "/priv\0ate/a", "/private\0/a",
+        "/100%/x", "/100x/x", "/100%\0/x",
+        "/a_b/x", "/aXb/x",
+        "/back\\slash/x", "/backslash/x", "/back\\\\slash/x",
+        "/it's/x", "/it''s/x", "/x' OR '1'='1",
+    )
+
+    @pytest.fixture()
+    def store(self):
+        references = ReferenceStore()
+        references.install_reference_file(self.REFERENCE, "s.example",
+                                          policy_ids=self.IDS)
+        return references
+
+    @pytest.mark.parametrize("cookie", [False, True])
+    def test_resolves_like_the_reference_file(self, store, cookie):
+        for uri in self.URIS:
+            ref = (self.REFERENCE.applicable_cookie_policy(uri) if cookie
+                   else self.REFERENCE.applicable_policy(uri))
+            expected = None if ref is None else self.IDS[ref.policy_name]
+            assert store.applicable_policy_id(
+                "s.example", uri, cookie=cookie) == expected, repr(uri)
+
+    def test_site_is_bound(self, store):
+        assert store.applicable_policy_id("s.example", "/a") == 3
+        for site in ("s.example' OR '1'='1", "s.example\0", "s.exampl_"):
+            assert store.applicable_policy_id(site, "/a") is None
+
+    def test_every_uri_reuses_one_prepared_statement(self, store):
+        store.applicable_policy_id("s.example", "/warm")
+        before = store.db.stats.cache_misses
+        for index in range(20):
+            store.applicable_policy_id("s.example", f"/page-{index}")
+        assert store.db.stats.cache_misses == before
+
+
+class TestFunctionRegistration:
+    def test_checks_never_redefine_like_pattern(self, tmp_path,
+                                                monkeypatch):
+        """Redefining an SQL function expires every statement the
+        connection prepared; the pool's connect hook registers
+        ``like_pattern`` once per connection, so checks never do."""
+        server = PolicyServer(str(tmp_path / "register.db"))
+        try:
+            server.install_policy(volga_policy(), site="volga.example.com")
+            server.install_reference_file(VOLGA_REFERENCE_XML,
+                                          "volga.example.com")
+            jane = jane_preference()
+            server.check("volga.example.com", "/warm", jane)
+            calls = []
+            monkeypatch.setattr(Database, "create_function",
+                                lambda self, *args: calls.append(args))
+            for index in range(8):
+                server.check("volga.example.com", f"/catalog/{index}", jane,
+                             cookie=bool(index % 2))
+            batching = BatchingExecutor(server, None, None)
+            batching._execute(_Batch(jane, False, [
+                ("volga.example.com", f"/catalog/b{index}", None, None)
+                for index in range(4)]))
+            assert calls == []
+        finally:
+            server.close()
