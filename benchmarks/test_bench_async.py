@@ -57,8 +57,9 @@ class TestConnectionScaling:
 
     def test_threaded_grows_a_thread_per_connection(self, scaling):
         threaded = scaling[0]
-        # ThreadingHTTPServer dedicates a handler thread to every open
-        # keep-alive connection (give or take one for scheduling races).
+        # The threaded transport dedicates a handler thread to every
+        # open keep-alive connection (give or take one for scheduling
+        # races).
         assert threaded.thread_delta >= threaded.connections - 2
 
     def test_async_stays_flat_at_10x_connections(self, scaling):

@@ -84,7 +84,7 @@ def optimized_catalog() -> Database:
     Everything a :class:`~repro.server.policy_server.PolicyServer`
     connection can see: the Section 5.2 optimized policy tables, the
     Figure 16 reference tables, the check log, and the decision cache —
-    plus the ``like_pattern`` SQL function the ApplicablePolicy
+    plus the ``glob_pattern`` SQL function the ApplicablePolicy
     subquery calls, which the reference store registers on its
     connection as the pool's connect hook does on every serving one.
     """

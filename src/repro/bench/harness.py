@@ -1245,28 +1245,21 @@ def _open_checking_connection(host: str, port: int,
     per-connection resources it keeps for the socket's lifetime — then
     leaves the connection open for the caller to hold.
     """
-    conn = socket.create_connection((host, port), timeout=10.0)
-    head = (f"POST /v1/check HTTP/1.1\r\n"
-            f"Host: {host}:{port}\r\n"
-            f"Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            f"Connection: keep-alive\r\n\r\n").encode("ascii")
-    conn.sendall(head + payload)
-    reader = conn.makefile("rb")
-    status = reader.readline()
-    if not status.startswith(b"HTTP/1.1 200"):
-        raise RuntimeError(f"check failed: {status!r}")
-    length = 0
-    while True:
-        line = reader.readline().strip()
-        if not line:
-            break
-        name, _, value = line.partition(b":")
-        if name.strip().lower() == b"content-length":
-            length = int(value.strip())
-    reader.read(length)
-    reader.close()
-    return conn
+    from repro.net import framing
+
+    connection = framing.SocketConnection(
+        socket.create_connection((host, port), timeout=10.0))
+    connection.send(framing.render_request("POST", "/v1/check", {
+        "Host": f"{host}:{port}",
+        "Content-Type": "application/json",
+        "Content-Length": str(len(payload)),
+    }, payload))
+    raw = connection.read_head()
+    head = raw and framing.parse_response_head(raw)
+    if not head or head.status != 200:
+        raise RuntimeError(f"check failed: {raw!r}")
+    connection.read_body(head.content_length)
+    return connection.sock
 
 
 def connection_scaling_experiment(

@@ -71,9 +71,10 @@ class WorkerConfig:
     retry_after_install: float = 2.0
     refresh_interval: float = 0.25
     audit_plans: bool = False
-    #: "threaded" (ThreadingHTTPServer) or "async" (the asyncio front
-    #: end with the batching executor) — both speak the same protocol,
-    #: so the router and clients are none the wiser.
+    #: "threaded" (a thread per connection over socketserver) or
+    #: "async" (the asyncio front end with the batching executor) —
+    #: both run the same connection loop and framing, so the router
+    #: and clients are none the wiser.
     frontend: str = "threaded"
 
     def __post_init__(self) -> None:

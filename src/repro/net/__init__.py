@@ -6,6 +6,9 @@ provides it with nothing beyond the standard library:
 
 * :mod:`repro.net.protocol` — the versioned JSON wire format and its
   stable error codes;
+* :mod:`repro.net.framing` — the one HTTP/1.1 framing (heads,
+  ``Content-Length`` bodies, one write per message) that both servers
+  and the client share;
 * :mod:`repro.net.admission` — the bounded in-flight gate that sheds
   load with 503 + Retry-After instead of drowning the writer;
 * :mod:`repro.net.httpd` — :class:`P3PHttpServer`, a threading HTTP

@@ -5,10 +5,12 @@ connection and executes one compiled plan per ``/v1/check``.  This
 module carries the paper's set-at-a-time idea across *connections*:
 
 * :class:`AsyncP3PServer` — an asyncio HTTP/1.1 transport under the
-  request core of :mod:`repro.net.httpd` (routing, admission, handlers
-  and error envelopes are the threaded server's, unchanged).  The event
-  loop owns the connections; every blocking SQLite call is confined to
-  a small :class:`ThreadPoolExecutor` through the core's ``run`` (bounded
+  request core of :mod:`repro.net.httpd` (the connection loop, the
+  :mod:`repro.net.framing` parser, routing, admission, handlers and
+  error envelopes are the threaded server's, unchanged: each head is
+  taken in one piece off the stream).  The event loop owns the
+  connections; every blocking SQLite call is confined to a small
+  :class:`ThreadPoolExecutor` through the core's ``run`` (bounded
   threads → bounded pooled readers), so ten thousand idle keep-alive
   connections cost file descriptors, not thread stacks.
 * :class:`BatchingExecutor` — concurrent ``check()`` requests for the
@@ -58,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.appel.model import Ruleset
-from repro.net import protocol
+from repro.net import framing, protocol
 from repro.net.httpd import PolicyService
 from repro.server.policy_server import (
     MATCH_BATCH_SIZE,
@@ -72,10 +74,6 @@ logger = logging.getLogger(__name__)
 
 __all__ = ["AsyncP3PServer", "BatchingExecutor", "serve_async"]
 
-#: Longest accepted request/header line; longer lines are a 400.
-_MAX_LINE_BYTES = 16 * 1024
-#: Most header lines accepted on one request.
-_MAX_HEADERS = 100
 #: Executor threads for blocking work; also bounds the pooled readers
 #: the async server can occupy.
 EXECUTOR_THREADS = 4
@@ -445,7 +443,7 @@ class AsyncP3PServer(PolicyService):
         """Run the event loop on the calling thread until ``shutdown``.
 
         *poll_interval* is accepted (and ignored) for signature parity
-        with ``ThreadingHTTPServer.serve_forever`` — the worker entry
+        with ``ThreadedTransport.serve_forever`` — the worker entry
         point calls both the same way.
         """
         loop = asyncio.new_event_loop()
@@ -547,20 +545,9 @@ class AsyncP3PServer(PolicyService):
             self._tasks.add(task)
             task.add_done_callback(self._tasks.discard)
         try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers = request
-                response = await self.handle(method, target, headers,
-                                             reader.readexactly)
-                writer.write(response.encode())
-                await writer.drain()
-                if response.close or \
-                        headers.get("connection", "").lower() == "close":
-                    break
-        except (ConnectionResetError, BrokenPipeError,
-                asyncio.IncompleteReadError, TimeoutError):
+            await self.serve_connection(
+                framing.StreamConnection(reader, writer))
+        except (ConnectionError, TimeoutError):
             pass
         except Exception:
             writer.close()
@@ -582,36 +569,6 @@ class AsyncP3PServer(PolicyService):
             # close that was already underway — finish normally, as
             # above.
             pass
-
-    async def _read_request(
-            self, reader: asyncio.StreamReader
-    ) -> tuple[str, str, dict[str, str]] | None:
-        """Parse one request line + header block; ``None`` on EOF."""
-        try:
-            line = await reader.readuntil(b"\n")
-        except asyncio.IncompleteReadError as exc:
-            if not exc.partial:
-                return None
-            raise
-        except asyncio.LimitOverrunError:
-            raise ConnectionResetError("request line too long") from None
-        if len(line) > _MAX_LINE_BYTES:
-            raise ConnectionResetError("request line too long")
-        parts = line.decode("latin-1").strip().split()
-        if len(parts) != 3:
-            raise ConnectionResetError(f"malformed request line {line!r}")
-        method, target, _version = parts
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readuntil(b"\n")
-            if line in (b"\r\n", b"\n"):
-                break
-            if len(line) > _MAX_LINE_BYTES or len(headers) >= _MAX_HEADERS:
-                raise ConnectionResetError("header block too large")
-            name, sep, value = line.decode("latin-1").partition(":")
-            if sep:
-                headers[name.strip().lower()] = value.strip()
-        return method, target, headers
 
 
 def serve_async(db: str | None = None, host: str = "127.0.0.1",

@@ -8,11 +8,14 @@ registers lazily on first use and transparently **re-registers** when
 the server answers ``unknown-preference`` — which happens after a server
 restart or a registry eviction — so callers never see the handshake.
 
-Transport is a persistent ``http.client.HTTPConnection`` (keep-alive;
-rebuilt automatically if the server closed it).  One agent is therefore
-**not** thread-safe — give each client thread its own agent, the exact
-analogue of the connection pool's reader-per-thread rule.  Reference
-files are cached with their ETag and revalidated with
+Transport is one kept-alive socket framed by :mod:`repro.net.framing`:
+each request goes out as one write and its reply is parsed by the same
+code the servers use (Nagle off, the agent's timeout on every socket
+operation; the socket is rebuilt once if a reused one failed, and
+dropped when the server answers ``Connection: close``).  One agent is
+therefore **not** thread-safe — give each client thread its own agent,
+the exact analogue of the connection pool's reader-per-thread rule.
+Reference files are cached with their ETag and revalidated with
 ``If-None-Match``, so a fresh copy costs a 304 with no body.
 
 **Fault tolerance.**  Idempotent calls (checks, registration, GETs)
@@ -29,7 +32,6 @@ retries everywhere.
 
 from __future__ import annotations
 
-import http.client
 import socket
 import time
 import uuid
@@ -39,7 +41,7 @@ from urllib.parse import quote, urlsplit
 from repro.appel.model import Ruleset
 from repro.appel.parser import parse_ruleset
 from repro.appel.serializer import serialize_ruleset
-from repro.net import protocol
+from repro.net import framing, protocol
 from repro.net.retry import RetryPolicy
 from repro.p3p.model import Policy
 from repro.p3p.serializer import serialize_policy
@@ -66,6 +68,9 @@ class HttpClientAgent:
                 f"unsupported scheme {split.scheme!r} (http only)")
         self._host = split.hostname or "127.0.0.1"
         self._port = split.port or 80
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        self._host_header = host if self._port == 80 \
+            else f"{host}:{self._port}"
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
         self.preference = preference
@@ -82,7 +87,7 @@ class HttpClientAgent:
         self.retries = 0
         self._check_counter = 0
         self._agent_id = uuid.uuid4().hex[:16]
-        self._connection: http.client.HTTPConnection | None = None
+        self._connection: framing.SocketConnection | None = None
         #: site -> (etag, xml) for If-None-Match revalidation.  Bounded
         #: LRU: an agent crawling many sites revalidates the hot ones
         #: and refetches the cold ones instead of growing forever.
@@ -100,41 +105,39 @@ class HttpClientAgent:
         a fresh one (the server may have idled it out between checks);
         a failure on a fresh connection propagates.
         """
-        send_headers = {"Content-Type": "application/json",
+        send_headers = {"Host": self._host_header,
+                        "Content-Type": "application/json",
                         **self.default_headers,
                         **(headers or {})}
+        if body is not None:
+            send_headers["Content-Length"] = str(len(body))
+        message = framing.render_request(method, path, send_headers,
+                                         body or b"")
         for attempt in (0, 1):
             fresh = self._connection is None
             if fresh:
-                self._connection = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self.timeout)
-                self._connection.connect()
-                # Requests are two writes (headers, body); keep Nagle
-                # from serializing them against the server's ACKs.
-                self._connection.sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                self._connection = framing.SocketConnection(
+                    socket.create_connection((self._host, self._port),
+                                             timeout=self.timeout))
             connection = self._connection
             try:
-                connection.request(method, path, body=body,
-                                   headers=send_headers)
-                response = connection.getresponse()
-                payload = response.read()
-            except (http.client.HTTPException, ConnectionError,
-                    BrokenPipeError, OSError):
-                connection.close()
-                self._connection = None
+                connection.send(message)
+                head = connection.read_head()
+                if head is None:
+                    raise ConnectionResetError(
+                        "server closed the connection")
+                response = framing.parse_response_head(head)
+                payload = connection.read_body(response.content_length)
+            except (framing.FramingError, OSError):
+                self.close()
                 if fresh or attempt:
                     raise
                 self.retries += 1
                 continue
             self.requests_sent += 1
-            if response.will_close:
-                connection.close()
-                self._connection = None
-            return (response.status,
-                    {key.lower(): value
-                     for key, value in response.getheaders()},
-                    payload)
+            if not response.keep_alive:
+                self.close()
+            return response.status, response.headers, payload
         raise AssertionError("unreachable")
 
     def _call(self, method: str, path: str,

@@ -25,14 +25,17 @@ stdlib only:
 * ``GET /metrics``          — JSON counters (requests, errors, plan- and
   statement-cache hit rates, check-log pending, admission occupancy).
 
-Every request, whichever transport carried it, is answered by one
-coroutine, :meth:`RequestCore.handle`: Content-Length validation →
-route (404/405) → shard-identity check → admission → handler → error
-envelope and header block.  Transports are byte plumbing around it:
-:class:`P3PHttpServer` (a thread per kept-alive connection, mapping
-one-to-one onto the connection pool's reader-per-thread design),
-:class:`repro.net.aio.AsyncP3PServer` (one event loop, checks
-micro-batched across connections) and
+Every connection, whichever transport accepted it, runs one loop,
+:meth:`RequestCore.serve_connection`: heads are framed by
+:mod:`repro.net.framing` (a head that cannot be framed gets ``400
+bad-request`` and the connection closes), and each request is answered
+by one coroutine, :meth:`RequestCore.handle`: body-size cap → route
+(404/405) → shard-identity check → admission → handler → error
+envelope and header block.  Transports only move bytes:
+:class:`P3PHttpServer` (a thread per kept-alive connection over
+``socketserver``, mapping one-to-one onto the connection pool's
+reader-per-thread design), :class:`repro.net.aio.AsyncP3PServer` (one
+event loop, checks micro-batched across connections) and
 :class:`repro.cluster.router.ClusterRouter` (this threaded transport
 again, with handlers that forward to shards).
 
@@ -47,26 +50,24 @@ boundary.
 
 from __future__ import annotations
 
-import asyncio
 import hashlib
-import http.client
 import json
 import logging
 import os
+import socketserver
 import threading
 import time
 import uuid
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Awaitable, Callable, Coroutine, Mapping, TypeVar
-from urllib.parse import parse_qs, urlsplit
+from urllib.parse import parse_qs
 
 from repro.appel.analysis import validate_ruleset
 from repro.appel.model import Ruleset
 from repro.appel.parser import parse_ruleset
 from repro.errors import ReproError
-from repro.net import protocol
+from repro.net import framing, protocol
 from repro.net.admission import AdmissionController
 from repro.p3p.parser import parse_policy
 from repro.server.policy_server import CheckResult, PolicyServer
@@ -201,13 +202,9 @@ class Response:
     close: bool = False
 
     def encode(self) -> bytes:
-        """The status line, header block and body as one buffer — one
-        send, so Nagle never holds a reply back."""
-        reason = http.client.responses.get(self.status, "")
-        head = f"HTTP/1.1 {self.status} {reason}\r\n" + "".join(
-            f"{name}: {value}\r\n" for name, value in self.headers.items()
-        ) + "\r\n"
-        return head.encode("latin-1") + self.body
+        """The status line, header block and body as one buffer."""
+        return framing.render_response(self.status, self.headers,
+                                       self.body)
 
 
 def json_response(status: int, payload: Mapping[str, Any]) -> Response:
@@ -218,10 +215,11 @@ def json_response(status: int, payload: Mapping[str, Any]) -> Response:
 def run_to_completion(coroutine: Coroutine[Any, Any, T]) -> T:
     """Drive *coroutine* on the calling thread, without an event loop.
 
-    On threads ``run`` is a direct call, so a handler finishes in one
-    step and no work moves to another thread.  A handler that suspends
-    anyway (it awaited a loop-only primitive) is a bug, raised here
-    rather than left hanging.
+    On threads ``run`` is a direct call and a
+    :class:`~repro.net.framing.SocketConnection` blocks, so a
+    connection's whole loop finishes in one step and no work moves to
+    another thread.  A coroutine that suspends anyway (it awaited a
+    loop-only primitive) is a bug, raised here rather than left hanging.
     """
     try:
         coroutine.send(None)
@@ -291,34 +289,74 @@ class RequestCore:
         """Run blocking *work*: a direct call on a handler thread."""
         return work()
 
-    async def handle(self, method: str, target: str,
-                     headers: Mapping[str, str],
+    async def serve_connection(
+            self, connection: framing.SocketConnection
+            | framing.StreamConnection) -> None:
+        """Answer the requests on one connection until either side
+        closes it.
+
+        *connection* is a :class:`~repro.net.framing.SocketConnection`
+        (the threaded transport drives this coroutine with
+        :func:`run_to_completion`) or a
+        :class:`~repro.net.framing.StreamConnection` (the event loop
+        awaits it); either way the framing rules below are the same.
+        A head that cannot be framed is answered by :meth:`reject`.
+        ``100 Continue`` goes out only when :meth:`handle` reads the
+        body, so never before a 413.  The connection closes after a
+        response that says so, or when the client asked for it.  A
+        dropped connection propagates for the transport to close.
+        """
+        while True:
+            try:
+                head = await connection.request_head()
+            except framing.FramingError as exc:
+                await connection.write(self.reject(exc).encode())
+                return
+            if head is None:
+                return
+
+            async def body(length: int) -> bytes:
+                if length and head.expects_continue:
+                    await connection.write(framing.CONTINUE)
+                return await connection.read(length)
+
+            response = await self.handle(head, body)
+            await connection.write(response.encode())
+            if response.close or not head.keep_alive:
+                return
+
+    async def handle(self, head: framing.RequestHead,
                      body: Callable[[int], Awaitable[bytes]]) -> Response:
         """Answer one request; every failure becomes the error envelope.
 
-        *headers* maps lower-cased names to values.  *body(n)* reads
-        exactly *n* request-body bytes; it is called only once
-        Content-Length has passed validation, so an oversized body is
-        refused unread.  A dropped connection (``ConnectionResetError``,
-        injected drops included) propagates: the transport closes
-        without a reply.
+        *body(n)* reads exactly *n* request-body bytes; it is called
+        only once Content-Length has passed the size cap, so an
+        oversized body is refused unread — and a response that leaves
+        the body unread closes the connection, since its bytes would
+        otherwise be parsed as the next request.  A dropped connection
+        (``ConnectionResetError``, injected drops included) propagates:
+        the transport closes without a reply.
         """
-        split = urlsplit(target)
-        path = split.path
+        path = head.path
+        payload = None
         try:
-            payload = (await body(self._content_length(headers))
-                       if method == "POST" else b"")
+            if head.content_length > self.max_body_bytes:
+                raise protocol.ProtocolError(
+                    protocol.ERR_PAYLOAD_TOO_LARGE,
+                    f"body of {head.content_length} bytes exceeds the "
+                    f"{self.max_body_bytes}-byte limit")
+            payload = await body(head.content_length)
             route = self.ROUTES.get(path)
             if route is None:
                 raise protocol.ProtocolError(
                     protocol.ERR_NOT_FOUND, f"no endpoint at {path}")
             route_method, op_class, name = route
-            if method != route_method:
+            if head.method != route_method:
                 raise protocol.ProtocolError(
                     protocol.ERR_METHOD_NOT_ALLOWED,
-                    f"{path} does not accept {method}")
+                    f"{path} does not accept {head.method}")
             self.net_metrics.request(path)
-            self._check_shard_identity(path, headers)
+            self._check_shard_identity(path, head.headers)
             hook = self.fault_hook
             if hook is not None and hook("request", path) == "drop":
                 raise ConnectionResetError("injected: connection dropped")
@@ -330,7 +368,7 @@ class RequestCore:
                     retry_after=self.admission.retry_after_for(op_class))
             try:
                 response = await getattr(self, name)(
-                    payload, parse_qs(split.query), headers)
+                    payload, parse_qs(head.query), head.headers)
             finally:
                 if op_class is not None:
                     self.admission.leave()
@@ -341,35 +379,22 @@ class RequestCore:
             # policy name in a reference file, vocabulary violations...).
             response = self._error(protocol.ProtocolError(
                 protocol.ERR_PARSE, str(exc)))
-        except (BrokenPipeError, ConnectionResetError,
-                asyncio.IncompleteReadError):
+        except (BrokenPipeError, ConnectionResetError):
             raise
         except Exception as exc:   # noqa: BLE001 — keep the server up
             response = self._error(protocol.ProtocolError(
                 protocol.ERR_INTERNAL, f"{type(exc).__name__}: {exc}"))
+        if payload is None:
+            response.close = True
         return self._finish(response, path)
 
-    def _content_length(self, headers: Mapping[str, str]) -> int:
-        length_header = headers.get("content-length")
-        try:
-            length = int(length_header or 0)
-        except ValueError:
-            raise protocol.ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                f"unreadable Content-Length {length_header!r}") from None
-        if length < 0:
-            # A negative length would make a blocking read consume until
-            # EOF, stalling the kept-alive connection until timeout.
-            raise protocol.ProtocolError(
-                protocol.ERR_BAD_REQUEST,
-                f"negative Content-Length {length}")
-        if length > self.max_body_bytes:
-            # Read nothing; the connection is closed with the response.
-            raise protocol.ProtocolError(
-                protocol.ERR_PAYLOAD_TOO_LARGE,
-                f"body of {length} bytes exceeds the "
-                f"{self.max_body_bytes}-byte limit")
-        return length
+    def reject(self, exc: framing.FramingError) -> Response:
+        """The reply to a head that cannot be framed: ``bad-request``,
+        then close — nothing after it on the connection can be trusted."""
+        response = self._error(protocol.ProtocolError(
+            protocol.ERR_BAD_REQUEST, str(exc)))
+        response.close = True
+        return self._finish(response, "")
 
     def _check_shard_identity(self, path: str,
                               headers: Mapping[str, str]) -> None:
@@ -410,9 +435,6 @@ class RequestCore:
             # Retry-After is delta-seconds; never advertise zero.
             response.headers["Retry-After"] = \
                 str(max(1, round(exc.retry_after)))
-        # An oversized body was never read off the socket — the framing
-        # is gone, so the connection must close with the 413.
-        response.close = exc.code == protocol.ERR_PAYLOAD_TOO_LARGE
         return response
 
     def _finish(self, response: Response, path: str) -> Response:
@@ -746,50 +768,33 @@ class PolicyService(RequestCore):
         ).to_wire())
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
-    """Byte plumbing: the stdlib parses the request line and headers,
-    the server's request core answers, the rendered reply goes out."""
+class _Connection(socketserver.BaseRequestHandler):
+    """One kept-alive connection, served on its own thread."""
 
-    protocol_version = "HTTP/1.1"
-    # A reply is one write, but Nagle would still hold back its last
-    # partial segment until the client's delayed ACK (~40 ms on
-    # loopback) whenever earlier data is unacknowledged.
-    disable_nagle_algorithm = True
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass                       # /metrics replaces per-request stderr
-
-    def _serve(self) -> None:
-        async def body(length: int) -> bytes:
-            return self.rfile.read(length)
-
-        headers = {name.lower(): value
-                   for name, value in self.headers.items()}
+    def handle(self) -> None:
         try:
-            response = run_to_completion(self.server.handle(
-                self.command, self.path, headers, body))
-            self.wfile.write(response.encode())
-        except (BrokenPipeError, ConnectionResetError):
-            self.close_connection = True
-            return
-        if response.close:
-            self.close_connection = True
-
-    do_GET = do_POST = _serve
+            run_to_completion(self.server.serve_connection(
+                framing.SocketConnection(self.request)))
+        except OSError:
+            pass                   # the peer went away
 
 
-class ThreadedTransport(ThreadingHTTPServer):
+class ThreadedTransport(socketserver.ThreadingTCPServer):
     """A thread per kept-alive connection under a :class:`RequestCore`
     (which a subclass mixes in first); lifecycle as ``BaseServer``."""
 
     daemon_threads = True
     allow_reuse_address = True
+    # The listen backlog asyncio gives the async server.  socketserver's
+    # default of 5 overflows when a burst of clients connects at once,
+    # and every SYN it drops costs its client a 1 s retransmission.
+    request_queue_size = 100
     thread_name = "p3p-httpd"
     _serving = False
     _closed = False
 
     def _bind(self, address: tuple[str, int]) -> None:
-        ThreadingHTTPServer.__init__(self, address, _RequestHandler)
+        socketserver.ThreadingTCPServer.__init__(self, address, _Connection)
 
     def serve_forever(self, poll_interval: float = 0.5) -> None:
         self._serving = True

@@ -34,12 +34,11 @@ docs/http-api.md "Idempotent checks").
 from __future__ import annotations
 
 import hashlib
-import http.client
 import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.net import protocol
+from repro.net import framing, protocol
 
 #: Protocol codes that indicate a transient server-side condition.
 #: ``shard-unavailable`` is transient by construction: the router sends
@@ -52,8 +51,9 @@ TRANSIENT_CODES = frozenset({protocol.ERR_OVERLOADED,
                              protocol.ERR_INTERNAL})
 
 #: Transport-level exceptions worth a second attempt (connection reset,
-#: dropped keep-alive, truncated response, refused reconnect).
-TRANSPORT_ERRORS = (http.client.HTTPException, ConnectionError,
+#: dropped keep-alive, truncated or unframeable response, refused
+#: reconnect).
+TRANSPORT_ERRORS = (framing.FramingError, ConnectionError,
                     BrokenPipeError, TimeoutError, OSError)
 
 

@@ -24,7 +24,7 @@ from repro.storage.optimized_schema import (
     create_reference_schema,
 )
 from repro.storage.reconstruct import reconstruct_policy, reconstruct_policy_xml
-from repro.storage.refstore import ReferenceStore, pattern_to_like
+from repro.storage.refstore import ReferenceStore, glob_pattern
 from repro.storage.shredder import PolicyStore, ShredReport
 from repro.storage.versioning import PolicyVersion, VersionedPolicyStore
 
@@ -47,7 +47,7 @@ __all__ = [
     "create_optimized_schema",
     "create_reference_schema",
     "ReferenceStore",
-    "pattern_to_like",
+    "glob_pattern",
     "reconstruct_policy",
     "reconstruct_policy_xml",
     "PolicyVersion",

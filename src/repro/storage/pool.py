@@ -20,7 +20,7 @@ are never blocked by it.  :class:`ConnectionPool` packages that shape:
 
 Connection hooks (:meth:`add_connect_hook`) run against the writer and
 every reader — present and future — which is how per-connection state
-like the ``like_pattern`` SQL function reaches reader connections.
+like the ``glob_pattern`` SQL function reaches reader connections.
 """
 
 from __future__ import annotations

@@ -8,8 +8,9 @@ the applicable policy against which the rule must be evaluated".
 subquery; :meth:`applicable_policy_id` runs the same statement with site
 and URI bound instead of inlined (:data:`APPLICABLE_POLICY_SQL`).
 
-URI wildcard matching (P3P ``*`` patterns) is compiled to SQL ``LIKE`` with
-escaping, so the whole lookup runs inside the database.
+URI wildcard matching (P3P ``*`` patterns) is compiled to SQL ``GLOB``,
+which is case-sensitive like the P3P patterns themselves (``LIKE``
+ignores ASCII case), so the whole lookup runs inside the database.
 """
 
 from __future__ import annotations
@@ -20,8 +21,7 @@ from repro.storage.database import Database, sql_literal
 from repro.storage.optimized_schema import create_reference_schema
 from repro.storage.shredder import PolicyStore
 
-_LIKE_ESCAPE = "\\"
-#: SQLite's LIKE reads a string only up to its first NUL, so a URI is
+#: SQLite's GLOB reads a string only up to its first NUL, so a URI is
 #: bound with each NUL replaced by U+FFFF.  XML allows neither
 #: character, so no reference-file pattern holds one, and only a ``*``
 #: wildcard matches either — as ``.`` does in
@@ -62,17 +62,14 @@ REFERENCE_DELETE_SQL = {
 }
 
 
-def pattern_to_like(pattern: str) -> str:
-    """Convert a P3P ``*`` wildcard pattern to a LIKE pattern with escapes."""
-    out: list[str] = []
-    for char in pattern:
-        if char == "*":
-            out.append("%")
-        elif char in ("%", "_", _LIKE_ESCAPE):
-            out.append(_LIKE_ESCAPE + char)
-        else:
-            out.append(char)
-    return "".join(out)
+def glob_pattern(pattern: str) -> str:
+    """Convert a P3P ``*`` wildcard pattern to a GLOB pattern.
+
+    ``*`` is the wildcard in both.  GLOB has no escape character, so its
+    other metacharacters ``[`` and ``?`` become one-character classes
+    that match only themselves; ``]`` outside a class is literal.
+    """
+    return pattern.replace("[", "[[]").replace("?", "[?]")
 
 
 class ReferenceStore:
@@ -172,7 +169,7 @@ class ReferenceStore:
                                       cookie)
 
     def register_sql_functions(self, db: Database | None = None) -> None:
-        """Register the ``like_pattern`` SQL function on *db*.
+        """Register the ``glob_pattern`` SQL function on *db*.
 
         Once per connection: redefining a function expires every
         statement the connection has prepared.  The store registers it
@@ -180,7 +177,7 @@ class ReferenceStore:
         other connection the lookup runs on.
         """
         target = db if db is not None else self.db
-        target.create_function("like_pattern", 1, pattern_to_like)
+        target.create_function("glob_pattern", 1, glob_pattern)
 
     def applicable_policy_id(self, site: str, uri: str,
                              cookie: bool = False,
@@ -190,7 +187,7 @@ class ReferenceStore:
         Site and URI are bound, not inlined, so request data never
         becomes SQL text and every lookup reuses one prepared statement.
         Pass *db* to run the lookup on another connection to the same
-        database (e.g. a pooled per-thread reader with ``like_pattern``
+        database (e.g. a pooled per-thread reader with ``glob_pattern``
         registered).
         """
         target = db if db is not None else self.db
@@ -205,7 +202,6 @@ def _applicable_policy_sql(site: str, uri: str, cookie: bool) -> str:
     *uri* (literals, or ``?`` binds)."""
     include_table = "cookie_include" if cookie else "include"
     exclude_table = "cookie_exclude" if cookie else "exclude"
-    escape = sql_literal(_LIKE_ESCAPE)
     return (
         "SELECT policyref.policy_id AS policy_id\n"
         "FROM policyref, meta\n"
@@ -215,14 +211,12 @@ def _applicable_policy_sql(site: str, uri: str, cookie: bool) -> str:
         f"    SELECT * FROM {include_table}\n"
         f"    WHERE {include_table}.policyref_id = policyref.policyref_id\n"
         f"      AND {include_table}.meta_id = policyref.meta_id\n"
-        f"      AND {uri} LIKE like_pattern({include_table}.pattern) "
-        f"ESCAPE {escape})\n"
+        f"      AND {uri} GLOB glob_pattern({include_table}.pattern))\n"
         "  AND NOT EXISTS (\n"
         f"    SELECT * FROM {exclude_table}\n"
         f"    WHERE {exclude_table}.policyref_id = policyref.policyref_id\n"
         f"      AND {exclude_table}.meta_id = policyref.meta_id\n"
-        f"      AND {uri} LIKE like_pattern({exclude_table}.pattern) "
-        f"ESCAPE {escape})\n"
+        f"      AND {uri} GLOB glob_pattern({exclude_table}.pattern))\n"
         "ORDER BY policyref.meta_id, policyref.policyref_id\n"
         "LIMIT 1"
     )

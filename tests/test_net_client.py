@@ -9,12 +9,17 @@ by its deadline instead of sleeping one interval past it.
 from __future__ import annotations
 
 import socket
+import threading
 import time
+
+import pytest
 
 from repro.corpus.volga import VOLGA_REFERENCE_XML, VOLGA_POLICY_XML
 from repro.corpus.volga import jane_preference
+from repro.net import protocol
 from repro.net.aio import serve_async
 from repro.net.client import HttpClientAgent
+from repro.net.retry import RetryPolicy
 
 
 def _dead_port() -> int:
@@ -91,3 +96,59 @@ class TestWaitUntilHealthyDeadline:
             assert time.monotonic() - start < 0.5
         finally:
             agent.close()
+
+
+class TestFraming:
+    def test_close_reply_drops_the_socket(self, tmp_path):
+        """A reply carrying ``Connection: close`` (here a 413) ends the
+        kept-alive socket, so the next call opens a fresh one instead
+        of failing on the closed one and re-sending."""
+        server = serve_async(str(tmp_path / "close.db"), max_body_bytes=64)
+        thread = server.run_in_thread()
+        try:
+            with HttpClientAgent(server.base_url, retry=None) as agent:
+                with pytest.raises(protocol.ProtocolError) as excinfo:
+                    agent.call("POST", "/v1/preferences", {"appel": "x" * 99})
+                assert excinfo.value.code == protocol.ERR_PAYLOAD_TOO_LARGE
+                assert agent.health()["status"] == "ok"
+                assert agent.retries == 0
+        finally:
+            server.close()
+            thread.join(timeout=5)
+
+    def test_unframeable_reply_is_retried(self):
+        """A reply the framing refuses (no Content-Length) is a
+        transport failure: the retry policy re-sends it on a fresh
+        connection."""
+        body = b'{"v": 1, "status": "ok"}'
+        replies = [b"HTTP/1.1 200 OK\r\n\r\n" + body,
+                   b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                   % (len(body), body)]
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def answer() -> None:
+            for reply in replies:
+                connection, _ = listener.accept()
+                with connection:
+                    received = b""
+                    while b"\r\n\r\n" not in received:
+                        chunk = connection.recv(4096)
+                        if not chunk:
+                            return
+                        received += chunk
+                    connection.sendall(reply)
+
+        server = threading.Thread(target=answer, daemon=True)
+        server.start()
+        try:
+            port = listener.getsockname()[1]
+            with HttpClientAgent(
+                    f"127.0.0.1:{port}",
+                    retry=RetryPolicy(base_delay=0.001)) as agent:
+                assert agent.call("GET", "/healthz",
+                                  retry_key="probe")["status"] == "ok"
+                assert agent.retries == 1
+            server.join(timeout=5)
+            assert not server.is_alive()
+        finally:
+            listener.close()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import protocol
+from repro.net import framing, protocol
 from repro.net.retry import (
     NO_RETRY,
     RetryDecision,
@@ -54,6 +54,10 @@ class TestClassification:
         assert default_classify(ConnectionResetError()).retry
         assert default_classify(BrokenPipeError()).retry
         assert default_classify(TimeoutError()).retry
+
+    def test_unframeable_replies_retry(self):
+        assert default_classify(
+            framing.FramingError("malformed status line")).retry
 
     def test_overloaded_retries_and_carries_retry_after(self):
         exc = protocol.ProtocolError(protocol.ERR_OVERLOADED, "shed",

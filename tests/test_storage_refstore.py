@@ -15,20 +15,20 @@ from repro.p3p.reference import (
     parse_reference_file,
 )
 from repro.storage.database import Database
-from repro.storage.refstore import ReferenceStore, pattern_to_like
+from repro.storage.refstore import ReferenceStore, glob_pattern
 from repro.server.policy_server import PolicyServer
 from repro.storage.shredder import PolicyStore
 
 
-class TestPatternToLike:
-    def test_star_becomes_percent(self):
-        assert pattern_to_like("/a/*") == "/a/%"
+class TestGlobPattern:
+    def test_star_stays_the_wildcard(self):
+        assert glob_pattern("/a/*") == "/a/*"
 
-    def test_like_metacharacters_escaped(self):
-        assert pattern_to_like("/100%_done") == "/100\\%\\_done"
+    def test_glob_metacharacters_escaped(self):
+        assert glob_pattern("/q?/[x]*") == "/q[?]/[[]x]*"
 
-    def test_backslash_escaped(self):
-        assert pattern_to_like("a\\b") == "a\\\\b"
+    def test_like_metacharacters_and_backslash_are_literal(self):
+        assert glob_pattern("/100%_done\\") == "/100%_done\\"
 
 
 @pytest.fixture()
@@ -161,15 +161,18 @@ class TestBoundLookup:
     """The lookup binds site and URI: request data never becomes SQL
     text, and every URI resolves as the parsed reference file says."""
 
-    ODD = ("/100%/*", "/a_b/*", "/back\\slash/*", "/it's/*")
+    ODD = ("/100%/*", "/a_b/*", "/back\\slash/*", "/it's/*",
+           "/q?/*", "/[ab]/*", "/x]/*")
     REFERENCE = ReferenceFile(refs=(
         PolicyRef(about="#exact", includes=("/exact",),
                   cookie_includes=("/exact",)),
         PolicyRef(about="#odd", includes=ODD, cookie_includes=ODD),
+        PolicyRef(about="#shop", includes=("/Shop/*",),
+                  cookie_includes=("/Shop/*",)),
         PolicyRef(about="#site", includes=("/*",), excludes=("/private/*",),
                   cookie_includes=("/*",), cookie_excludes=("/private/*",)),
     ))
-    IDS = {"exact": 1, "odd": 2, "site": 3}
+    IDS = {"exact": 1, "odd": 2, "site": 3, "shop": 4}
     URIS = (
         "/exact", "/exact\0", "/exact\0tail", "/ex\0act",
         "/private/a\0b", "/priv\0ate/a", "/private\0/a",
@@ -177,6 +180,11 @@ class TestBoundLookup:
         "/a_b/x", "/aXb/x",
         "/back\\slash/x", "/backslash/x", "/back\\\\slash/x",
         "/it's/x", "/it''s/x", "/x' OR '1'='1",
+        # Patterns match case-sensitively, as the reference file does.
+        "/EXACT", "/Exact", "/PRIVATE/a", "/Private/a",
+        "/Shop/a", "/SHOP/a", "/shop/a",
+        # GLOB's metacharacters in a pattern match only themselves.
+        "/q?/x", "/qa/x", "/q/x", "/[ab]/x", "/a/x", "/b/x", "/x]/x",
     )
 
     @pytest.fixture()
@@ -209,11 +217,11 @@ class TestBoundLookup:
 
 
 class TestFunctionRegistration:
-    def test_checks_never_redefine_like_pattern(self, tmp_path,
+    def test_checks_never_redefine_glob_pattern(self, tmp_path,
                                                 monkeypatch):
         """Redefining an SQL function expires every statement the
         connection prepared; the pool's connect hook registers
-        ``like_pattern`` once per connection, so checks never do."""
+        ``glob_pattern`` once per connection, so checks never do."""
         server = PolicyServer(str(tmp_path / "register.db"))
         try:
             server.install_policy(volga_policy(), site="volga.example.com")
