@@ -70,7 +70,14 @@ HOT_NODE_TABLES = frozenset(
 #: Tables whose whole point is O(1) access: a cache that the planner
 #: reads by scanning is slower than not having the cache at all.  Any
 #: access to these that is not an index probe is an error finding.
-CACHE_TABLES = frozenset({"decision_cache"})
+#: ``preference_key`` maps a preference hash to the integer handle the
+#: cache rows are keyed by, so every cache read joins through it.
+CACHE_TABLES = frozenset({"decision_cache", "preference_key"})
+
+#: ``FROM table AS alias`` / ``JOIN table AS alias`` in live SQL text.
+_TABLE_ALIAS = re.compile(
+    r"\b(?:FROM|JOIN)\s+([A-Za-z_][A-Za-z0-9_]*)\s+AS\s+"
+    r"([A-Za-z_][A-Za-z0-9_]*)", re.IGNORECASE)
 
 #: Quoted regions of SQL text: string literals (single quotes, with ''
 #: escapes — what ``sql_literal`` emits) and quoted identifiers (double
@@ -87,6 +94,17 @@ def strip_quoted(sql: str) -> str:
     untrusted string would be interpreted as syntax.
     """
     return _QUOTED_REGION.sub(lambda m: " " * len(m.group()), sql)
+
+
+def table_aliases(sql: str) -> dict[str, str]:
+    """Alias -> table for every ``FROM/JOIN table AS alias`` in *sql*.
+
+    EXPLAIN QUERY PLAN names a step by its alias (``SEARCH dc USING
+    PRIMARY KEY ...``), so a rule keyed on table names maps the alias
+    back to its table before it compares.
+    """
+    return {alias: table
+            for table, alias in _TABLE_ALIAS.findall(strip_quoted(sql))}
 
 
 def taint_findings(sql: str, untrusted: Iterable[str],
@@ -126,12 +144,14 @@ def scan_findings(db: Database, sql: str, parameters: Sequence = (),
                   hot_tables: frozenset[str] = HOT_TABLES) -> list[Finding]:
     """Flag full scans of hot tables in the plan SQLite picks for *sql*."""
     findings: list[Finding] = []
+    aliases = table_aliases(sql)
     for step in db.explain(sql, parameters):
-        if step.is_scan and step.table in hot_tables:
+        table = aliases.get(step.table, step.table)
+        if step.is_scan and table in hot_tables:
             findings.append(Finding(
                 "error", "full-scan",
                 f"planner step {step.detail!r} reads every row of hot "
-                f"table {step.table!r} instead of probing an index",
+                f"table {table!r} instead of probing an index",
                 where=where,
             ))
     return findings
@@ -258,20 +278,25 @@ def audit_bulk_plan(db: Database, plan: BulkPlan,
 def audit_decision_lookup(db: Database, sql: str,
                           parameters: Sequence = (),
                           where: str = "<cache>") -> list[Finding]:
-    """Flag any ``decision_cache`` access that is not an index probe.
+    """Flag any decision-cache access that is not an index probe.
 
-    The scan audit alone would miss this — ``decision_cache`` is not a
-    hot shredded table — but the cache's contract is stricter than
-    "no full scan of hot tables": every read of it must go through its
-    primary-key index, or the materialization is pure overhead.
+    The scan audit alone would miss this — the cache tables are not hot
+    shredded tables — but the cache's contract is stricter than "no
+    full scan of hot tables": every read of ``decision_cache`` must go
+    through its primary key, and the ``preference_key`` join that turns
+    a preference hash into the key's ``pref_id`` through its unique
+    index, or the materialization is pure overhead.  Steps named by an
+    alias count as their table.
     """
     findings = scan_findings(db, sql, parameters, where)
+    aliases = table_aliases(sql)
     for step in db.explain(sql, parameters):
-        if step.table in CACHE_TABLES and not step.uses_index:
+        table = aliases.get(step.table, step.table)
+        if table in CACHE_TABLES and not step.uses_index:
             findings.append(Finding(
                 "error", "cache-scan",
                 f"planner step {step.detail!r} reads decision cache "
-                f"table {step.table!r} without an index probe — the "
+                f"table {table!r} without an index probe — the "
                 "cache read would cost more than the match it memoizes",
                 where=where,
             ))

@@ -39,7 +39,12 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.findings import Finding
-from repro.analysis.plans import HOT_NODE_TABLES, HOT_TABLES, strip_quoted
+from repro.analysis.plans import (
+    HOT_NODE_TABLES,
+    HOT_TABLES,
+    strip_quoted,
+    table_aliases,
+)
 from repro.appel.model import Ruleset
 from repro.errors import StorageError, TranslationTooComplexError
 from repro.p3p.model import Policy
@@ -209,12 +214,14 @@ def check_statement(db: Database,
         ))
 
     if contract.hot_tables:
+        aliases = table_aliases(contract.sql)
         for step in db.explain(contract.sql, probe):
-            if step.is_scan and step.table in contract.hot_tables:
+            table = aliases.get(step.table, step.table)
+            if step.is_scan and table in contract.hot_tables:
                 findings.append(Finding(
                     "warning", "unindexed-hot-predicate",
                     f"planner step {step.detail!r} reads hot table "
-                    f"{step.table!r} without a declared index — the "
+                    f"{table!r} without a declared index — the "
                     "per-check cost becomes O(corpus)",
                     where=contract.where,
                 ))
@@ -252,20 +259,31 @@ def static_contracts() -> list[StatementContract]:
         ReferenceStore,
     )
 
+    cache_tables = frozenset({"decision_cache", "preference_key"})
     contracts = [
         # Decision cache: reads are the replica-shared fast path, writes
-        # go through the serialized writer only.
+        # go through the serialized writer only.  Every cache access,
+        # the install's delete included, is a key probe: a scan there
+        # grows with registered preferences x policies.
         StatementContract(
             where="cache/lookup", sql=DecisionCache.LOOKUP_SQL, binds=2,
-            hot_tables=frozenset({"decision_cache"})),
+            hot_tables=cache_tables),
         StatementContract(
-            where="cache/match", sql=DecisionCache.MATCH_SQL, binds=1),
+            where="cache/match", sql=DecisionCache.MATCH_SQL, binds=1,
+            hot_tables=cache_tables),
         StatementContract(
-            where="cache/insert", sql=DecisionCache._INSERT, binds=6,
+            where="cache/insert", sql=DecisionCache._INSERT, binds=5,
             writes=frozenset({"decision_cache"})),
         StatementContract(
             where="cache/invalidate", sql=DecisionCache._INVALIDATE,
-            binds=2, writes=frozenset({"decision_cache"})),
+            binds=2, writes=frozenset({"decision_cache"}),
+            hot_tables=frozenset({"decision_cache"})),
+        StatementContract(
+            where="cache/preference-id", sql=DecisionCache._PREF_ID,
+            binds=1, hot_tables=frozenset({"preference_key"})),
+        StatementContract(
+            where="cache/preference-intern", sql=DecisionCache._INTERN,
+            binds=1, writes=frozenset({"preference_key"})),
         # Check log: the one write the serving path performs per check.
         StatementContract(
             where="server/check-log-insert", sql=CheckLogWriter._INSERT,

@@ -962,11 +962,7 @@ def bulk_matching_experiment(corpus_size: int = 1000,
     Every mode runs once unmeasured, then measured with statement
     counters reset; all three must agree on the decisions.
     """
-    from repro.storage.decision_cache import (
-        DecisionCache,
-        decision_rows,
-        utc_now_iso,
-    )
+    from repro.storage.decision_cache import DecisionCache, decision_rows
     from repro.translate.appel_to_sql import OptimizedSqlTranslator
 
     preference = jrc_suite()[level]
@@ -1019,8 +1015,7 @@ def bulk_matching_experiment(corpus_size: int = 1000,
                        "WHERE active = 1")]
         with db.transaction():                     # populate, untimed
             cache.store_rows(db, decision_rows(
-                pref_hash, actives, fired_bulk,
-                computed_at=utc_now_iso()))
+                pref_hash, actives, fired_bulk))
         cache.match_rows(db, pref_hash)            # warm pass
         db.stats.reset()
         start = time.perf_counter()

@@ -155,6 +155,11 @@ class ClusterRouter(RequestCore, ThreadedTransport):
         self.counters = _RouterCounters()
         self.backend_timeout = backend_timeout
         self._local = threading.local()
+        #: Every backend agent this router created, per handler thread,
+        #: so ``_release`` can close their sockets.
+        self._agents_lock = threading.Lock()
+        self._agents: dict[threading.Thread,
+                           dict[str, HttpClientAgent]] = {}
         self._rr_lock = threading.Lock()
         self._rr: dict[int, int] = {}
         #: hash -> APPEL text, for transparent backend re-registration.
@@ -177,17 +182,9 @@ class ClusterRouter(RequestCore, ThreadedTransport):
         agents: dict[str, HttpClientAgent] | None = getattr(
             self._local, "agents", None)
         if agents is None:
-            agents = {}
-            self._local.agents = agents
+            agents = self._thread_agents()
         agent = agents.get(url)
         if agent is None:
-            if len(agents) > 8 * (self.cluster.topology.shards
-                                  * (1 + self.cluster.topology.replicas)):
-                # Restarted workers leave dead URLs behind; reset the
-                # thread's cache rather than growing it forever.
-                for old in agents.values():
-                    old.close()
-                agents.clear()
             agent = HttpClientAgent(
                 url, timeout=self.backend_timeout, retry=None,
                 default_headers={
@@ -195,8 +192,34 @@ class ClusterRouter(RequestCore, ThreadedTransport):
                     protocol.TOPOLOGY_HEADER:
                         str(self.cluster.topology.version),
                 })
-            agents[url] = agent
+            stale: list[HttpClientAgent] = []
+            with self._agents_lock:
+                if len(agents) > 8 * (self.cluster.topology.shards
+                                      * (1 + self.cluster.topology.replicas)):
+                    # Restarted workers leave dead URLs behind; reset
+                    # the thread's cache rather than growing it forever.
+                    stale = list(agents.values())
+                    agents.clear()
+                agents[url] = agent
+            for old in stale:
+                old.close()
         return agent
+
+    def _thread_agents(self) -> dict[str, HttpClientAgent]:
+        """A new agent cache for this thread, registered so ``_release``
+        can close it; closes the caches of handler threads that ended
+        (each connection gets its own thread)."""
+        agents: dict[str, HttpClientAgent] = {}
+        self._local.agents = agents
+        with self._agents_lock:
+            ended = [thread for thread in self._agents
+                     if not thread.is_alive()]
+            stale = [agent for thread in ended
+                     for agent in self._agents.pop(thread).values()]
+            self._agents[threading.current_thread()] = agents
+        for old in stale:
+            old.close()
+        return agents
 
     def _read_candidates(self, shard: int) -> list[tuple[str, str]]:
         """(url, role) to try for a read: replicas round-robin, then
@@ -491,6 +514,12 @@ class ClusterRouter(RequestCore, ThreadedTransport):
 
     def _release(self) -> None:
         self._executor.shutdown(wait=False)
+        with self._agents_lock:
+            held = [agent for agents in self._agents.values()
+                    for agent in agents.values()]
+            self._agents.clear()
+        for agent in held:
+            agent.close()
 
     # -- forwarding handlers -------------------------------------------------
 

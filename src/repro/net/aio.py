@@ -68,7 +68,6 @@ from repro.server.policy_server import (
     CheckResult,
     PolicyServer,
 )
-from repro.storage.decision_cache import utc_now_iso
 
 logger = logging.getLogger(__name__)
 
@@ -298,14 +297,13 @@ class BatchingExecutor:
                         point_plan = server.translate(batch.preference)
                     decided[policy_id] = point_plan.execute(db, policy_id)
             if missing and server.cache_decisions:
-                stamp = utc_now_iso()
                 for policy_id in missing:
                     version = db.scalar(POLICY_VERSION_SQL, (policy_id,))
                     if version is not None:
                         behavior, rule_index = decided[policy_id]
                         write_back.append((key, int(policy_id),
                                            int(version), behavior,
-                                           rule_index, stamp))
+                                           rule_index))
         if write_back:
             server._store_decisions(write_back, best_effort=True)
         elapsed = time.perf_counter() - start

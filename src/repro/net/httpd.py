@@ -751,11 +751,16 @@ class PolicyService(RequestCore):
 
     def _install(self, request: protocol.InstallPolicyRequest) -> Response:
         policy = parse_policy(request.policy)
-        report = self.policy_server.install_policy(policy, site=request.site)
         reference_rows = None
-        if request.reference_file is not None:
-            reference_rows = self.policy_server.install_reference_file(
-                request.reference_file, request.site)
+        if request.reference_file is None:
+            report = self.policy_server.install_policy(policy,
+                                                       site=request.site)
+        else:
+            # One transaction: a refused reference file rolls the
+            # policy back too.  Its document is served only once both
+            # are committed.
+            report, reference_rows = self.policy_server.install_with_reference(
+                policy, request.reference_file, request.site)
             self.register_reference_document(request.site,
                                              request.reference_file)
         return json_response(201, protocol.InstallPolicyResponse(

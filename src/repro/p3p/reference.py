@@ -17,20 +17,28 @@ from __future__ import annotations
 import re
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro import xmlutil
 from repro.errors import ReferenceFileError
 
 
+@lru_cache(maxsize=1024)
 def pattern_to_regex(pattern: str) -> re.Pattern[str]:
-    """Compile a P3P URI pattern (``*`` wildcards) to an anchored regex."""
+    """Compile a P3P URI pattern (``*`` wildcards) to a regex, once per
+    pattern.
+
+    ``*`` matches any characters, newlines included, as it does in the
+    database's ``GLOB`` lookup; match with ``fullmatch`` so that nothing,
+    not even a trailing newline, follows the pattern's last character.
+    """
     parts = [re.escape(chunk) for chunk in pattern.split("*")]
-    return re.compile("^" + ".*".join(parts) + "$")
+    return re.compile(".*".join(parts), re.DOTALL)
 
 
 def uri_matches(pattern: str, uri: str) -> bool:
     """True if *uri* matches the P3P wildcard *pattern*."""
-    return pattern_to_regex(pattern).match(uri) is not None
+    return pattern_to_regex(pattern).fullmatch(uri) is not None
 
 
 @dataclass(frozen=True)

@@ -82,11 +82,7 @@ from repro.appel.serializer import serialize_ruleset
 from repro.p3p.model import Policy
 from repro.p3p.reference import ReferenceFile, parse_reference_file
 from repro.storage.database import Database
-from repro.storage.decision_cache import (
-    DecisionCache,
-    decision_rows,
-    utc_now_iso,
-)
+from repro.storage.decision_cache import DecisionCache, decision_rows
 from repro.storage.generic_schema import create_structural_indexes
 from repro.storage.generic_shredder import GenericPolicyStore
 from repro.storage.pool import ConnectionPool
@@ -442,9 +438,10 @@ class PolicyServer:
 
         Reference-file rows pointing at the policy's name are retargeted
         to the new version, so URIs resolve to the active policy without
-        re-installing the reference file.
+        re-installing the reference file.  The shred, the version bump,
+        the retarget and the cache invalidation are one transaction.
         """
-        with self.pool.write():
+        with self.pool.write() as db, db.transaction():
             if policy.name is not None:
                 report = self.versions.install(policy, site=site)
                 # Retarget only this site's reference rows — other sites
@@ -454,7 +451,7 @@ class PolicyServer:
                 # retargeting unrelated references.
                 escaped = (policy.name.replace("\\", "\\\\")
                            .replace("%", "\\%").replace("_", "\\_"))
-                self.db.execute(
+                db.execute(
                     RETARGET_POLICYREF_SQL,
                     (report.policy_id, f"#{policy.name}",
                      f"%#{escaped}", site),
@@ -466,12 +463,13 @@ class PolicyServer:
                 # active with the old version's decisions still
                 # serveable through it.  (The new policy_id has no rows
                 # yet, so its first check/match recomputes.)
-                self.decisions.invalidate_inactive(self.db, policy.name,
-                                                   site)
-                self.db.commit()
+                self.decisions.invalidate_inactive(db, policy.name, site)
             else:
                 report = self.policies.install_policy(policy, site=site)
-        if self.engine == "structural":
+        if self.engine == "structural" and not self.db.in_transaction:
+            # Mirrored once committed; an install inside an enclosing
+            # transaction (install_with_reference) could still roll
+            # back, so its first structural check reconstructs it.
             with self._structural_lock:
                 self._structural_ids[report.policy_id] = (
                     self._structural_store.install_policy(policy))
@@ -491,6 +489,22 @@ class PolicyServer:
             return self.references.install_reference_file(
                 reference, site, policy_store=self.policies
             )
+
+    def install_with_reference(self, policy: Policy,
+                               reference: ReferenceFile | str,
+                               site: str) -> tuple[ShredReport, int]:
+        """:meth:`install_policy` then :meth:`install_reference_file`,
+        committed together: a reference file that is refused (it does
+        not parse, or names a policy the store does not hold) leaves the
+        active version, the reference rows and the cached decisions as
+        they were.  Returns the shred report and the new meta id.
+        """
+        if isinstance(reference, str):
+            reference = parse_reference_file(reference)
+        with self.pool.write() as db, db.transaction():
+            report = self.install_policy(policy, site=site)
+            meta_id = self.install_reference_file(reference, site)
+        return report, meta_id
 
     # -- checking (Figure 6) -----------------------------------------------------
 
@@ -539,7 +553,7 @@ class PolicyServer:
                         if version is not None:
                             write_back = (key, int(policy_id),
                                           int(version), behavior,
-                                          rule_index, utc_now_iso())
+                                          rule_index)
         if write_back is not None:
             # Best-effort: a failed cache write must never fail the
             # check it would have accelerated.

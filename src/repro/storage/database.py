@@ -175,6 +175,7 @@ class Database:
         self.stats = QueryStats()
         self.wal = False
         self._statement_failed = False
+        self._transaction_depth = 0
         # Shadow of sqlite3's per-connection prepared-statement cache:
         # an LRU of recently executed statement texts, sized to match,
         # so hit/miss counters reflect what the C layer re-prepares.
@@ -379,14 +380,32 @@ class Database:
         committing the surviving half of a transaction whose other half
         silently failed would corrupt multi-table invariants (e.g. a
         policy row without its statement rows).
+
+        Blocks nest: an inner block joins the outermost one, which alone
+        commits or rolls back, so steps that each run in a transaction
+        compose into one atomic step.  An inner block that raises marks
+        the whole transaction failed, even if the caller catches.
         """
+        if self._transaction_depth:
+            self._transaction_depth += 1
+            try:
+                yield self
+            except Exception:
+                self._statement_failed = True
+                raise
+            finally:
+                self._transaction_depth -= 1
+            return
         self._statement_failed = False
+        self._transaction_depth = 1
         try:
             yield self
         except Exception:
             self._connection.rollback()
             self._statement_failed = False
             raise
+        finally:
+            self._transaction_depth = 0
         if self._statement_failed:
             self._connection.rollback()
             self._statement_failed = False
@@ -395,6 +414,11 @@ class Database:
                 "failed and the error was swallowed"
             )
         self._connection.commit()
+
+    @property
+    def in_transaction(self) -> bool:
+        """True while the connection holds uncommitted work."""
+        return self._connection.in_transaction
 
     def commit(self) -> None:
         self._connection.commit()

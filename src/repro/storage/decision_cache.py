@@ -1,10 +1,12 @@
 """The materialized decision cache: corpus matching as a point lookup.
 
 A ``decision_cache`` row is one *decided* (preference, policy-version)
-cell: ``(pref_hash, policy_id, policy_version) -> (behavior,
+cell: ``(policy_id, pref_id, policy_version) -> (behavior,
 rule_index)``, with ``behavior IS NULL`` recording a *negative* decision
 (no rule fired) — row-present-with-NULLs and row-absent are different
-facts, so a cache miss is always observable.
+facts, so a cache miss is always observable.  ``pref_id`` is the
+preference's integer handle: each preference hash is interned once in
+``preference_key``, so a row holds no text but its behavior.
 
 **Why this can never serve a stale decision.**  The versioned store
 never updates a policy in place: installing a new version of a name
@@ -21,10 +23,15 @@ by it cannot rot.  Two structural defenses back that argument up:
   installer's write transaction — incremental garbage collection, not a
   correctness requirement.
 
-The table is ``WITHOUT ROWID``: rows are stored in primary-key order,
-so a lookup is one clustered-key probe, and the delete an install runs
-(one row per registered preference, clustered by ``pref_hash``) dirties
-one b-tree per row instead of a rowid table plus its key index.
+**Why the table is clustered by policy.**  It is ``WITHOUT ROWID``, so
+rows are stored in primary-key order, and the key leads with
+``policy_id``.  A check's lookup and a warm corpus match still probe the
+full key; an install's delete reads one contiguous range per superseded
+version instead of every cached decision.  The price is that a
+registration writes one row into every active policy's range; narrow
+integer rows keep those ranges dense enough that the writes stay cheap
+(``docs/architecture.md``, "Materialized decision cache", has the
+measured trade).
 
 All SQL here is static text over storage-layer tables; the serving
 layer calls these methods with a pooled connection and never assembles
@@ -33,49 +40,50 @@ cache SQL itself.
 
 from __future__ import annotations
 
-import datetime
 import threading
 from typing import Any, Iterable, Sequence
 
 from repro.errors import StorageError
 from repro.storage.database import Database
 
+PREFERENCE_KEY_DDL = """
+CREATE TABLE IF NOT EXISTS preference_key (
+  pref_id    INTEGER PRIMARY KEY,
+  pref_hash  TEXT NOT NULL UNIQUE
+);
+"""
+
 DECISION_CACHE_DDL = """
 CREATE TABLE IF NOT EXISTS decision_cache (
-  pref_hash       TEXT NOT NULL,
   policy_id       INTEGER NOT NULL,
+  pref_id         INTEGER NOT NULL,
   policy_version  INTEGER NOT NULL,
   behavior        TEXT,
   rule_index      INTEGER,
-  computed_at     TEXT NOT NULL,
-  PRIMARY KEY (pref_hash, policy_id, policy_version)
+  PRIMARY KEY (policy_id, pref_id, policy_version)
 ) WITHOUT ROWID;
 """
 
-_COLUMNS = ("pref_hash, policy_id, policy_version, behavior, rule_index, "
-            "computed_at")
-
-#: Rebuilds a rowid ``decision_cache`` (stores written before the table
-#: was clustered) as the table above, rows kept, in one transaction.
-_CLUSTER_MIGRATION = f"""
+#: Rebuilds a ``decision_cache`` keyed by ``pref_hash`` (the rowid
+#: table, with or without ``computed_at``, and the pref-clustered
+#: ``WITHOUT ROWID`` table) as the tables above, rows kept, in one
+#: transaction.
+_MIGRATION = f"""
 BEGIN;
-ALTER TABLE decision_cache RENAME TO decision_cache_rowid;
+ALTER TABLE decision_cache RENAME TO decision_cache_by_pref;
+{PREFERENCE_KEY_DDL}
 {DECISION_CACHE_DDL}
-INSERT INTO decision_cache ({_COLUMNS})
-  SELECT {_COLUMNS} FROM decision_cache_rowid;
-DROP TABLE decision_cache_rowid;
+INSERT OR IGNORE INTO preference_key (pref_hash)
+  SELECT DISTINCT pref_hash FROM decision_cache_by_pref;
+INSERT OR REPLACE INTO decision_cache
+  (policy_id, pref_id, policy_version, behavior, rule_index)
+  SELECT old.policy_id, pk.pref_id, old.policy_version, old.behavior,
+         old.rule_index
+  FROM decision_cache_by_pref AS old
+  JOIN preference_key AS pk ON pk.pref_hash = old.pref_hash;
+DROP TABLE decision_cache_by_pref;
 COMMIT;
 """
-
-#: Columns added after the table first shipped (forward migration).
-_MIGRATED_COLUMNS = {
-    "computed_at": "TEXT NOT NULL DEFAULT ''",
-}
-
-
-def utc_now_iso() -> str:
-    """The ``computed_at`` timestamp format (UTC ISO-8601)."""
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 class DecisionCache:
@@ -88,17 +96,19 @@ class DecisionCache:
     and lock-protected; :meth:`snapshot` feeds ``GET /metrics``.
     """
 
-    #: The hot-path point lookup: both accesses must be index probes —
-    #: the cache row by its primary key prefix ``(pref_hash,
-    #: policy_id)``, the version guard by the policy table's integer
-    #: primary key.  ``repro.analysis.plans.audit_decision_lookup``
-    #: gates on exactly that.
+    #: The hot-path point lookup: every access must be an index probe —
+    #: the preference's handle by ``preference_key``'s unique index, the
+    #: cache row by its full primary key, the version guard by the
+    #: policy table's integer primary key.
+    #: ``repro.analysis.plans.audit_decision_lookup`` gates on exactly
+    #: that.
     LOOKUP_SQL = (
         "SELECT dc.behavior, dc.rule_index\n"
-        "FROM decision_cache AS dc\n"
+        "FROM preference_key AS pk\n"
+        "JOIN decision_cache AS dc ON dc.pref_id = pk.pref_id\n"
         "JOIN policy ON policy.policy_id = dc.policy_id\n"
         "           AND policy.version = dc.policy_version\n"
-        "WHERE dc.pref_hash = ? AND dc.policy_id = ?"
+        "WHERE pk.pref_hash = ? AND dc.policy_id = ?"
     )
 
     #: The warm corpus match: every active policy LEFT JOINed to its
@@ -110,22 +120,28 @@ class DecisionCache:
         "       policy.version AS version,\n"
         "       dc.behavior AS behavior,\n"
         "       dc.rule_index AS rule_index,\n"
-        "       dc.pref_hash IS NOT NULL AS cached\n"
+        "       dc.pref_id IS NOT NULL AS cached\n"
         "FROM policy\n"
         "LEFT JOIN decision_cache AS dc\n"
-        "       ON dc.pref_hash = ?\n"
-        "      AND dc.policy_id = policy.policy_id\n"
+        "       ON dc.policy_id = policy.policy_id\n"
+        "      AND dc.pref_id = (SELECT pref_id FROM preference_key\n"
+        "                        WHERE pref_hash = ?)\n"
         "      AND dc.policy_version = policy.version\n"
         "WHERE policy.active = 1\n"
         "ORDER BY policy.policy_id"
     )
 
+    _PREF_ID = "SELECT pref_id FROM preference_key WHERE pref_hash = ?"
+
+    _INTERN = "INSERT INTO preference_key (pref_hash) VALUES (?)"
+
     _INSERT = (
         "INSERT OR REPLACE INTO decision_cache "
-        "(pref_hash, policy_id, policy_version, behavior, rule_index, "
-        "computed_at) VALUES (?, ?, ?, ?, ?, ?)"
+        "(policy_id, pref_id, policy_version, behavior, rule_index) "
+        "VALUES (?, ?, ?, ?, ?)"
     )
 
+    #: One primary-key range per superseded version of the name.
     _INVALIDATE = (
         "DELETE FROM decision_cache WHERE policy_id IN ("
         "SELECT policy_id FROM policy "
@@ -144,19 +160,16 @@ class DecisionCache:
     # -- schema ---------------------------------------------------------------
 
     def ensure_schema(self, db: Database) -> None:
-        """Create the table, or migrate an older one forward: add the
-        columns it lacks, then cluster a rowid table (rows kept)."""
-        db.executescript(DECISION_CACHE_DDL)
-        db.ensure_columns("decision_cache", _MIGRATED_COLUMNS)
-        table_sql = db.scalar(
-            "SELECT sql FROM sqlite_master "
-            "WHERE type = 'table' AND name = 'decision_cache'")
-        if "WITHOUT ROWID" not in table_sql.upper():
-            try:
-                db.executescript(_CLUSTER_MIGRATION)
-            except StorageError:
-                db.rollback()
-                raise
+        """Create the tables, or rebuild a table keyed by ``pref_hash``
+        (any earlier layout) in place, rows kept."""
+        if "pref_hash" not in db.table_columns("decision_cache"):
+            db.executescript(PREFERENCE_KEY_DDL + DECISION_CACHE_DDL)
+            return
+        try:
+            db.executescript(_MIGRATION)
+        except StorageError:
+            db.rollback()
+            raise
 
     # -- reads ----------------------------------------------------------------
 
@@ -189,30 +202,40 @@ class DecisionCache:
         goes on to compute."""
         return db.query(self.MATCH_SQL, (pref_hash,))
 
-    def row_count(self, db: Database, pref_hash: str | None = None) -> int:
-        if pref_hash is None:
-            return int(db.scalar("SELECT COUNT(*) FROM decision_cache"))
-        return int(db.scalar(
-            "SELECT COUNT(*) FROM decision_cache WHERE pref_hash = ?",
-            (pref_hash,)))
+    def row_count(self, db: Database) -> int:
+        return int(db.scalar("SELECT COUNT(*) FROM decision_cache"))
 
     # -- writes ---------------------------------------------------------------
 
     def store_rows(self, db: Database,
                    rows: Sequence[tuple]) -> int:
         """Materialize decided cells: ``(pref_hash, policy_id,
-        policy_version, behavior, rule_index, computed_at)`` tuples.
+        policy_version, behavior, rule_index)`` tuples.
 
-        The caller owns transaction scope (population must be atomic —
-        a crash mid-populate may not leave partial rows; see
-        ``tests/test_decision_cache.py``).
+        Each distinct hash is resolved to its integer handle once, then
+        the rows are written as integers.  The caller owns transaction
+        scope (population must be atomic — a crash mid-populate may not
+        leave partial rows; see ``tests/test_decision_cache.py``).
         """
         if not rows:
             return 0
-        db.executemany(self._INSERT, rows)
+        pref_ids = {pref_hash: self._pref_id(db, pref_hash)
+                    for pref_hash in dict.fromkeys(row[0] for row in rows)}
+        db.executemany(self._INSERT, [
+            (policy_id, pref_ids[pref_hash], version, behavior, rule_index)
+            for pref_hash, policy_id, version, behavior, rule_index in rows])
         with self._lock:
             self.populated += len(rows)
         return len(rows)
+
+    def _pref_id(self, db: Database, pref_hash: str) -> int:
+        """The integer handle of *pref_hash*, assigned on its first
+        write (under the serialized writer, so no other write can
+        intern the same hash in between)."""
+        pref_id = db.scalar(self._PREF_ID, (pref_hash,))
+        if pref_id is None:
+            pref_id = db.execute(self._INTERN, (pref_hash,)).lastrowid
+        return int(pref_id)
 
     def invalidate_inactive(self, db: Database, name: str,
                             site: str | None) -> int:
@@ -264,18 +287,17 @@ class DecisionCache:
 
 def decision_rows(pref_hash: str,
                   actives: Iterable[tuple[int, int]],
-                  fired: dict[int, tuple[str, int]],
-                  computed_at: str | None = None) -> list[tuple]:
-    """Build INSERT tuples for every active policy, negatives included.
+                  fired: dict[int, tuple[str, int]]) -> list[tuple]:
+    """Build :meth:`DecisionCache.store_rows` tuples for every active
+    policy, negatives included.
 
     *actives* is ``(policy_id, version)`` pairs; *fired* the bulk
     plan's ``{policy_id: (behavior, rule_index)}``.  Policies absent
     from *fired* become cached negative decisions (NULL behavior).
     """
-    stamp = computed_at if computed_at is not None else utc_now_iso()
     rows: list[tuple] = []
     for policy_id, version in actives:
         behavior, rule_index = fired.get(int(policy_id), (None, None))
         rows.append((pref_hash, int(policy_id), int(version),
-                     behavior, rule_index, stamp))
+                     behavior, rule_index))
     return rows

@@ -190,6 +190,23 @@ class TestDecisionLookupAudit:
         assert [f.code for f in findings] == ["cache-scan"]
         assert findings[0].severity == "error"
 
+    def test_aliased_cache_scan_is_flagged(self, cache_db):
+        # EXPLAIN names the step "dc", not "decision_cache".
+        _, db = cache_db
+        findings = audit_decision_lookup(
+            db, "SELECT * FROM decision_cache AS dc "
+                "WHERE dc.behavior = 'block'")
+        assert [f.code for f in findings] == ["cache-scan"]
+        assert "'decision_cache'" in findings[0].message
+
+    def test_preference_key_scan_is_flagged(self, cache_db):
+        # The hash -> handle join is part of every cache read.
+        _, db = cache_db
+        findings = audit_decision_lookup(
+            db, "SELECT pref_id FROM preference_key "
+                "WHERE pref_hash LIKE 'ab%'")
+        assert [f.code for f in findings] == ["cache-scan"]
+
     def test_cache_scan_is_stricter_than_hot_table_scan(self, cache_db):
         # scan_findings alone would pass this statement — the cache
         # table is not in HOT_TABLES; the cache audit must not.

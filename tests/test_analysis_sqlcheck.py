@@ -16,6 +16,21 @@ from repro.analysis import (
 )
 from repro.corpus.policies import fortune_corpus
 from repro.corpus.preferences import jrc_suite
+from repro.storage.database import Database
+from repro.storage.optimized_schema import create_optimized_schema
+
+#: The decision cache as it was keyed before it was clustered by
+#: policy: ``pref_hash`` leads, so ``policy_id`` alone probes nothing.
+_PREF_FIRST_DECISION_CACHE_DDL = """
+CREATE TABLE decision_cache (
+  pref_hash       TEXT NOT NULL,
+  policy_id       INTEGER NOT NULL,
+  policy_version  INTEGER NOT NULL,
+  behavior        TEXT,
+  rule_index      INTEGER,
+  PRIMARY KEY (pref_hash, policy_id, policy_version)
+) WITHOUT ROWID;
+"""
 
 
 @pytest.fixture(scope="module")
@@ -90,9 +105,9 @@ class TestRulesFire:
         # never run — its contract carries the empty write-set.
         findings = check_statement(optimized_db, StatementContract(
             where="replica/seeded-write", binds=2,
-            sql="INSERT INTO decision_cache (pref_hash, policy_id, "
-                "policy_version, behavior, rule_index, computed_at) "
-                "VALUES (?, 1, 1, 'block', 0, ?)"))
+            sql="INSERT INTO decision_cache (policy_id, pref_id, "
+                "policy_version, behavior, rule_index) "
+                "VALUES (?, ?, 1, 'block', 0)"))
         assert codes(findings) == ["illegal-write"]
         assert "read-only tier" in findings[0].message
 
@@ -119,6 +134,28 @@ class TestRulesFire:
         assert codes(findings) == ["unindexed-hot-predicate"]
         assert findings[0].severity == "warning"
 
+    def test_pref_first_cache_key_scans_on_invalidate(self):
+        # The decision cache keyed pref_hash first, as stores held it
+        # before it was clustered by policy: an install's delete reads
+        # every cached decision, and the cache/invalidate contract says
+        # so.
+        db = Database()
+        create_optimized_schema(db)
+        db.executescript(_PREF_FIRST_DECISION_CACHE_DDL)
+        contract, = [contract for contract in static_contracts()
+                     if contract.where == "cache/invalidate"]
+        findings = check_statement(db, contract)
+        assert codes(findings) == ["unindexed-hot-predicate"]
+        assert "SCAN decision_cache" in findings[0].message
+
+    def test_aliased_hot_table_scan_is_flagged(self, optimized_db):
+        # EXPLAIN names the step by its alias; the rule still fires.
+        findings = check_statement(optimized_db, StatementContract(
+            where="fixture", binds=1,
+            sql="SELECT * FROM statement AS s WHERE s.consequence = ?",
+            hot_tables=frozenset({"statement"})))
+        assert codes(findings) == ["unindexed-hot-predicate"]
+
     def test_indexed_hot_predicate_passes(self, optimized_db):
         findings = check_statement(optimized_db, StatementContract(
             where="fixture", binds=1,
@@ -131,6 +168,8 @@ class TestStaticRegistry:
     def test_covers_every_tier(self):
         wheres = {contract.where for contract in static_contracts()}
         for expected in ("cache/lookup", "cache/insert",
+                         "cache/invalidate", "cache/preference-id",
+                         "cache/preference-intern",
                          "server/check-log-insert",
                          "server/retarget-policyref",
                          "refstore/insert-meta",

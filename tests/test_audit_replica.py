@@ -93,10 +93,10 @@ class TestReplicaWriteSet:
         replica_db = Database(replica_path)
         try:
             findings = check_statement(replica_db, StatementContract(
-                where="replica/decision-write-back", binds=6,
+                where="replica/decision-write-back", binds=5,
                 sql="INSERT OR REPLACE INTO decision_cache "
-                    "(pref_hash, policy_id, policy_version, behavior, "
-                    "rule_index, computed_at) VALUES (?, ?, ?, ?, ?, ?)"))
+                    "(policy_id, pref_id, policy_version, behavior, "
+                    "rule_index) VALUES (?, ?, ?, ?, ?)"))
         finally:
             replica_db.close()
         assert [f.code for f in findings] == ["illegal-write"]

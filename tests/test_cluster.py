@@ -15,6 +15,7 @@ import pytest
 from repro.appel.serializer import serialize_ruleset
 from repro.bench.harness import cluster_corpus
 from repro.cluster import ClusterClient, P3PCluster, Topology
+from repro.cluster import router as router_module
 from repro.corpus.volga import jane_preference
 from repro.net import protocol
 from repro.net.client import HttpClientAgent
@@ -404,6 +405,38 @@ class TestPartialMatch:
                 with pytest.raises(protocol.ProtocolError) as err:
                     client.match_corpus()
                 assert err.value.code == protocol.ERR_SHARD_UNAVAILABLE
+
+
+class TestRouterClose:
+    def test_close_leaves_no_backend_agent_open(self, monkeypatch):
+        """The router keeps one kept-alive agent per backend per handler
+        thread; ``P3PCluster.close()`` closes every one of them, those
+        of handler threads that already ended included."""
+        created: list[HttpClientAgent] = []
+
+        class RecordedAgent(HttpClientAgent):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(router_module, "HttpClientAgent",
+                            RecordedAgent)
+        with P3PCluster(shards=2, replicas=1, in_process=True,
+                        refresh_interval=0.05).start() as cluster:
+            with HttpClientAgent(cluster.base_url) as admin:
+                for site, policy_xml, reference in ENTRIES[:4]:
+                    admin.install_policy(policy_xml, site=site,
+                                         reference_file=reference)
+            wait_for_replicas(cluster, ENTRIES[:4])
+            # Three connections in turn: three handler threads.
+            for _ in range(3):
+                with HttpClientAgent(cluster.base_url, JANE) as user:
+                    for site, _, _ in ENTRIES[:4]:
+                        user.check(site, "/")
+                    user.match_corpus()
+        assert len(created) >= 4
+        assert [agent for agent in created
+                if agent._connection is not None] == []
 
 
 class TestProcessMode:

@@ -33,11 +33,7 @@ from repro.errors import StorageError
 from repro.p3p.model import Policy, PurposeValue, RecipientValue, Statement
 from repro.server.policy_server import PolicyServer
 from repro.storage.database import Database
-from repro.storage.decision_cache import (
-    DecisionCache,
-    decision_rows,
-    utc_now_iso,
-)
+from repro.storage.decision_cache import DecisionCache, decision_rows
 from repro.storage.shredder import PolicyStore
 from repro.testing.faults import FaultPlan, crash_pool, install_pool_faults
 
@@ -53,6 +49,22 @@ CREATE TABLE decision_cache (
   computed_at     TEXT NOT NULL,
   PRIMARY KEY (pref_hash, policy_id, policy_version)
 );
+"""
+
+#: The same rows clustered by preference (``WITHOUT ROWID``, keyed
+#: ``pref_hash`` first), as stores held them before the cache was
+#: clustered by policy on integer keys.
+_PREF_CLUSTERED_DECISION_CACHE_DDL = (
+    _ROWID_DECISION_CACHE_DDL.rstrip().rstrip(";") + " WITHOUT ROWID;")
+
+#: The first layout: no ``computed_at`` column.
+_FIRST_DECISION_CACHE_DDL = """
+CREATE TABLE decision_cache (
+  pref_hash TEXT NOT NULL,
+  policy_id INTEGER NOT NULL,
+  policy_version INTEGER NOT NULL,
+  behavior TEXT, rule_index INTEGER,
+  PRIMARY KEY (pref_hash, policy_id, policy_version));
 """
 
 _NAMES = ("alpha", "beta")
@@ -72,6 +84,47 @@ def _policy(name: str, retention: str) -> Policy:
             ),
         ),
     )
+
+
+def _open_legacy_store(tmp_path, ddl):
+    """Write two preferences' decisions over three policies into a
+    table of *ddl*, then open the file with a server and read them back
+    through the migrated table."""
+    path = str(tmp_path / "legacy.db")
+    legacy = PolicyStore(Database(path))
+    ids = [legacy.install_policy(_policy(f"p{index}", "no-retention"),
+                                 version=1).policy_id
+           for index in range(3)]
+    legacy.db.executescript(ddl)
+    legacy.db.executemany(
+        "INSERT INTO decision_cache VALUES (?, ?, ?, ?, ?, ?)",
+        [(pref_hash, policy_id, 1,
+          "block" if policy_id == ids[0] else None,
+          0 if policy_id == ids[0] else None, "2003-03-05T00:00:00")
+         for pref_hash in ("h", "g") for policy_id in ids])
+    legacy.db.commit()
+    legacy.db.close()
+
+    server = PolicyServer(path)
+    try:
+        with server.pool.read() as db:
+            table_sql = db.scalar(
+                "SELECT sql FROM sqlite_master "
+                "WHERE name = 'decision_cache'")
+            assert "WITHOUT ROWID" in table_sql
+            assert "pref_hash" not in table_sql
+            assert db.scalar(
+                "SELECT COUNT(*) FROM sqlite_master "
+                "WHERE tbl_name LIKE 'decision_cache%'") == 1
+            assert db.scalar("SELECT COUNT(*) FROM preference_key") == 2
+            assert server.decisions.row_count(db) == 6
+            for pref_hash in ("h", "g"):
+                assert server.decisions.lookup(db, pref_hash, ids[0]) == \
+                    ("block", 0)
+                assert server.decisions.lookup(db, pref_hash, ids[1]) == \
+                    (None, None)
+    finally:
+        server.close()
 
 
 @pytest.fixture()
@@ -94,7 +147,7 @@ class TestCacheTable:
                                          version=1).policy_id
         assert cache.lookup(store.db, "h", policy_id) is None
         cache.store_rows(store.db,
-                         [("h", policy_id, 1, "block", 0, utc_now_iso())])
+                         [("h", policy_id, 1, "block", 0)])
         assert cache.lookup(store.db, "h", policy_id) == ("block", 0)
         assert cache.hits == 1 and cache.misses == 1
 
@@ -102,7 +155,7 @@ class TestCacheTable:
         policy_id = store.install_policy(_policy("a", "no-retention"),
                                          version=1).policy_id
         cache.store_rows(store.db,
-                         [("h", policy_id, 1, None, None, utc_now_iso())])
+                         [("h", policy_id, 1, None, None)])
         # Row-present-with-NULLs: "no rule fires" is a cached fact.
         assert cache.lookup(store.db, "h", policy_id) == (None, None)
         assert cache.hits == 1 and cache.misses == 0
@@ -111,7 +164,7 @@ class TestCacheTable:
         policy_id = store.install_policy(_policy("a", "no-retention"),
                                          version=2).policy_id
         cache.store_rows(store.db,
-                         [("h", policy_id, 1, "block", 0, utc_now_iso())])
+                         [("h", policy_id, 1, "block", 0)])
         # A row written against version 1 of an id whose live version is
         # 2 must miss (defense-in-depth; ids are immutable in practice).
         assert cache.lookup(store.db, "h", policy_id) is None
@@ -121,75 +174,66 @@ class TestCacheTable:
                                    version=1, active=False).policy_id
         new = store.install_policy(_policy("a", "indefinitely"),
                                    version=2).policy_id
-        stamp = utc_now_iso()
-        cache.store_rows(store.db, [("h", old, 1, "block", 0, stamp),
-                                    ("h", new, 2, "request", 1, stamp)])
+        cache.store_rows(store.db, [("h", old, 1, "block", 0),
+                                    ("h", new, 2, "request", 1)])
         assert cache.invalidate_inactive(store.db, "a", None) == 1
         assert cache.lookup(store.db, "h", new) == ("request", 1)
         assert cache.row_count(store.db) == 1
         assert cache.invalidated == 1
 
     def test_decision_rows_fill_negatives(self):
-        rows = decision_rows("h", [(1, 1), (2, 1)], {1: ("block", 0)},
-                             computed_at="t")
-        assert rows == [("h", 1, 1, "block", 0, "t"),
-                        ("h", 2, 1, None, None, "t")]
+        rows = decision_rows("h", [(1, 1), (2, 1)], {1: ("block", 0)})
+        assert rows == [("h", 1, 1, "block", 0),
+                        ("h", 2, 1, None, None)]
 
-    def test_schema_migrates_computed_at_forward(self, store):
-        store.db.executescript(
-            "CREATE TABLE decision_cache ("
-            " pref_hash TEXT NOT NULL,"
-            " policy_id INTEGER NOT NULL,"
-            " policy_version INTEGER NOT NULL,"
-            " behavior TEXT, rule_index INTEGER,"
-            " PRIMARY KEY (pref_hash, policy_id, policy_version));")
+    def test_store_without_computed_at_migrates_forward(self, store):
+        """The first layout (no ``computed_at``) opens in today's shape
+        with its rows kept."""
+        policy_id = store.install_policy(_policy("a", "no-retention"),
+                                         version=1).policy_id
+        store.db.executescript(_FIRST_DECISION_CACHE_DDL)
+        store.db.execute("INSERT INTO decision_cache VALUES (?, ?, ?, ?, ?)",
+                         ("h", policy_id, 1, "block", 0))
+        store.db.commit()
         DecisionCache().ensure_schema(store.db)
-        assert "computed_at" in store.db.table_columns("decision_cache")
+        assert store.db.table_columns("decision_cache") == [
+            "policy_id", "pref_id", "policy_version", "behavior",
+            "rule_index"]
+        assert DecisionCache().lookup(store.db, "h", policy_id) == \
+            ("block", 0)
 
     def test_table_is_clustered_on_its_primary_key(self, store, cache):
         table_sql = store.db.scalar(
             "SELECT sql FROM sqlite_master WHERE name = 'decision_cache'")
         assert "WITHOUT ROWID" in table_sql
+        assert "PRIMARY KEY (policy_id, pref_id, policy_version)" in \
+            table_sql
         policy_id = store.install_policy(_policy("a", "no-retention"),
                                          version=1).policy_id
         assert audit_decision_lookup(store.db, DecisionCache.LOOKUP_SQL,
                                      ("h", policy_id)) == []
+        assert audit_decision_lookup(store.db, DecisionCache.MATCH_SQL,
+                                     ("h",)) == []
+        # An install's delete reads one key range per superseded
+        # version, never the whole cache.
+        steps = [step.detail for step in store.db.explain(
+            DecisionCache._INVALIDATE, ("a", None))]
+        assert "SEARCH decision_cache USING PRIMARY KEY (policy_id=?)" \
+            in steps
+        assert not any(detail.startswith("SCAN decision_cache")
+                       for detail in steps)
 
     def test_rowid_store_is_clustered_with_rows_kept(self, tmp_path):
         """A store written with the rowid table (and its separate
-        primary-key index) opens clustered, every cached row intact."""
-        path = str(tmp_path / "rowid.db")
-        legacy = PolicyStore(Database(path))
-        ids = [legacy.install_policy(_policy(f"p{index}", "no-retention"),
-                                     version=1).policy_id
-               for index in range(3)]
-        legacy.db.executescript(_ROWID_DECISION_CACHE_DDL)
-        stamp = utc_now_iso()
-        legacy.db.executemany(
-            "INSERT INTO decision_cache VALUES (?, ?, ?, ?, ?, ?)",
-            [("h", policy_id, 1, "block" if policy_id == ids[0] else None,
-              0 if policy_id == ids[0] else None, stamp)
-             for policy_id in ids])
-        legacy.db.commit()
-        legacy.db.close()
+        primary-key index) opens clustered by policy, every cached row
+        intact."""
+        _open_legacy_store(tmp_path, _ROWID_DECISION_CACHE_DDL)
 
-        server = PolicyServer(path)
-        try:
-            with server.pool.read() as db:
-                table_sql = db.scalar(
-                    "SELECT sql FROM sqlite_master "
-                    "WHERE name = 'decision_cache'")
-                assert "WITHOUT ROWID" in table_sql
-                assert db.scalar(
-                    "SELECT COUNT(*) FROM sqlite_master "
-                    "WHERE tbl_name LIKE 'decision_cache%'") == 1
-                assert server.decisions.row_count(db) == 3
-                assert server.decisions.lookup(db, "h", ids[0]) == \
-                    ("block", 0)
-                assert server.decisions.lookup(db, "h", ids[1]) == \
-                    (None, None)
-        finally:
-            server.close()
+    def test_pref_clustered_store_is_reclustered_with_rows_kept(
+            self, tmp_path):
+        """A store written with the table clustered by ``pref_hash``
+        opens clustered by policy, every cached row intact."""
+        _open_legacy_store(tmp_path, _PREF_CLUSTERED_DECISION_CACHE_DDL)
 
     def test_failed_clustering_leaves_the_rowid_table(self, store):
         """The rebuild is one transaction: a failure in its last step
@@ -197,8 +241,9 @@ class TestCacheTable:
         store.db.executescript(_ROWID_DECISION_CACHE_DDL)
         policy_id = store.install_policy(_policy("a", "no-retention"),
                                          version=1).policy_id
-        DecisionCache().store_rows(
-            store.db, [("h", policy_id, 1, "block", 0, utc_now_iso())])
+        store.db.execute(
+            "INSERT INTO decision_cache VALUES (?, ?, ?, ?, ?, ?)",
+            ("h", policy_id, 1, "block", 0, "2003-03-05T00:00:00"))
         store.db.commit()
 
         def refuse_drop(action, table, *_):
@@ -213,10 +258,13 @@ class TestCacheTable:
         assert store.db.scalar(
             "SELECT sql FROM sqlite_master WHERE name = 'decision_cache'"
         ) == _ROWID_DECISION_CACHE_DDL.strip().rstrip(";")
-        assert "decision_cache_rowid" not in store.db.scalar(
+        tables = store.db.scalar(
             "SELECT group_concat(name) FROM sqlite_master")
-        assert DecisionCache().lookup(store.db, "h", policy_id) == \
-            ("block", 0)
+        assert "decision_cache_by_pref" not in tables
+        assert "preference_key" not in tables
+        assert tuple(store.db.query_one(
+            "SELECT behavior, rule_index FROM decision_cache "
+            "WHERE pref_hash = 'h'")) == ("block", 0)
         DecisionCache().ensure_schema(store.db)
         assert DecisionCache().lookup(store.db, "h", policy_id) == \
             ("block", 0)

@@ -242,6 +242,69 @@ class TestReferenceFileETag:
         assert body.decode("utf-8") == VOLGA_REFERENCE_XML
 
 
+class TestAtomicInstall:
+    """An install whose reference file is refused changes nothing: the
+    policy, its retargeted references and the invalidated decisions all
+    commit with the reference file or not at all."""
+
+    serve = staticmethod(serve)
+
+    REFUSED = {
+        "unparseable": VOLGA_REFERENCE_XML.replace("</META>", ""),
+        "unknown-policy": VOLGA_REFERENCE_XML.replace("#volga",
+                                                      "#no-such-policy"),
+    }
+
+    @staticmethod
+    def state(httpd):
+        with httpd.policy_server.pool.read() as db:
+            return {
+                "policies": [tuple(row) for row in db.query(
+                    "SELECT policy_id, version, active FROM policy "
+                    "ORDER BY policy_id")],
+                "references": [tuple(row) for row in db.query(
+                    "SELECT meta.site, policyref.about, policyref.policy_id "
+                    "FROM policyref JOIN meta USING (meta_id) "
+                    "ORDER BY meta.meta_id, policyref.policyref_id")],
+                "decisions": sorted(tuple(row) for row in db.query(
+                    "SELECT policy_id, policy_version, behavior, "
+                    "rule_index FROM decision_cache")),
+            }
+
+    @pytest.mark.parametrize("refused", sorted(REFUSED))
+    def test_refused_reference_file_changes_nothing(self, httpd, agent,
+                                                    refused):
+        agent.check(SITE, "/catalog/book-1")       # registers, caches
+        before = self.state(httpd)
+        assert before["decisions"]
+        with HttpClientAgent(httpd.base_url, retry=None) as admin:
+            with pytest.raises(protocol.ProtocolError) as excinfo:
+                admin.install_policy(VOLGA_POLICY_XML, site=SITE,
+                                     reference_file=self.REFUSED[refused])
+        assert excinfo.value.code == protocol.ERR_PARSE
+        assert self.state(httpd) == before
+        status, _, body = raw_request(
+            httpd, "GET", f"/w3c/p3p.xml?site={SITE}")
+        assert status == 200
+        assert body.decode("utf-8") == VOLGA_REFERENCE_XML
+        assert agent.check(SITE, "/catalog/book-1").policy_id == \
+            before["policies"][-1][0]
+
+    def test_accepted_install_commits_everything(self, httpd, agent):
+        agent.check(SITE, "/catalog/book-1")
+        (old_id, _, _), = self.state(httpd)["policies"]
+        with HttpClientAgent(httpd.base_url, retry=None) as admin:
+            admin.install_policy(VOLGA_POLICY_XML, site=SITE,
+                                 reference_file=VOLGA_REFERENCE_XML)
+        after = self.state(httpd)
+        assert [(version, active) for _, version, active
+                in after["policies"]] == [(1, 0), (2, 1)]
+        new_id = after["policies"][-1][0]
+        assert {row[2] for row in after["references"]} == {new_id}
+        assert all(row[0] != old_id for row in after["decisions"])
+        assert agent.check(SITE, "/catalog/book-1").policy_id == new_id
+
+
 class TestErrorsAsync(TestErrors):
     """Every error case again, against the asyncio front end."""
 
@@ -250,6 +313,12 @@ class TestErrorsAsync(TestErrors):
 
 class TestReferenceFileETagAsync(TestReferenceFileETag):
     """Reference files and ETag revalidation on the asyncio front end."""
+
+    serve = staticmethod(serve_async)
+
+
+class TestAtomicInstallAsync(TestAtomicInstall):
+    """Refused and accepted installs on the asyncio front end."""
 
     serve = staticmethod(serve_async)
 

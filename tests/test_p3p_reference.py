@@ -34,6 +34,14 @@ class TestUriMatching:
         assert not uri_matches("/a.b", "/aXb")
         assert not uri_matches("/a+b", "/ab")
 
+    def test_newlines_match_as_in_glob(self):
+        # ``*`` spans a newline; a trailing newline is a character the
+        # pattern does not have.
+        assert uri_matches("/a/*", "/a/b\nc")
+        assert uri_matches("/*", "/q\nz")
+        assert not uri_matches("/x", "/x\n")
+        assert not uri_matches("/a/*/c", "/a/b/c\n")
+
 
 class TestPolicyRef:
     def test_covers_include_minus_exclude(self):

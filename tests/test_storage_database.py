@@ -185,6 +185,37 @@ class TestTransactions:
             db.execute("INSERT INTO t VALUES (1)")
         assert db.table_count("t") == 1
 
+    def test_nested_block_commits_with_the_outermost(self):
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.commit()
+        with pytest.raises(RuntimeError):
+            with db.transaction():
+                with db.transaction():
+                    db.execute("INSERT INTO t VALUES (1)")
+                assert db.in_transaction   # the inner block committed nothing
+                raise RuntimeError("boom")
+        assert db.table_count("t") == 0
+        with db.transaction():
+            with db.transaction():
+                db.execute("INSERT INTO t VALUES (2)")
+        assert not db.in_transaction
+        assert db.table_count("t") == 1
+
+    def test_caught_inner_failure_aborts_the_outermost(self):
+        db = Database()
+        db.execute("CREATE TABLE t (x INTEGER)")
+        db.commit()
+        with pytest.raises(StorageError, match="rolled back"):
+            with db.transaction():
+                db.execute("INSERT INTO t VALUES (1)")
+                try:
+                    with db.transaction():
+                        raise ValueError("refused")
+                except ValueError:
+                    pass  # caught — the outer block must still abort
+        assert db.table_count("t") == 0
+
 
 class TestStats:
     def test_statement_count_and_time_accumulate(self):

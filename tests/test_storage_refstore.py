@@ -185,6 +185,8 @@ class TestBoundLookup:
         "/Shop/a", "/SHOP/a", "/shop/a",
         # GLOB's metacharacters in a pattern match only themselves.
         "/q?/x", "/qa/x", "/q/x", "/[ab]/x", "/a/x", "/b/x", "/x]/x",
+        # ``*`` matches a newline, and nothing follows a pattern's end.
+        "/a/b\nc", "/x\n", "/q\nz", "/exact\n", "/private/a\nb",
     )
 
     @pytest.fixture()
