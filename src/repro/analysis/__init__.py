@@ -45,6 +45,7 @@ from repro.analysis.plans import (
     HOT_NODE_TABLES,
     HOT_TABLES,
     CorpusAuditReport,
+    audit_body_plan,
     audit_bulk_plan,
     audit_compiled_plan,
     audit_corpus,
@@ -92,6 +93,7 @@ __all__ = [
     "SqlContractReport",
     "StatementContract",
     "analyze_ruleset",
+    "audit_body_plan",
     "audit_bulk_plan",
     "audit_compiled_plan",
     "audit_corpus",

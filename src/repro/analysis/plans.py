@@ -21,7 +21,8 @@ generated artifact nobody reads.  This module reads it:
 * :func:`audit_compiled_plan` applies both to a
   :class:`~repro.translate.plan.CompiledPlan` (plus a bind-arity
   cross-check), :func:`audit_bulk_plan` to a set-at-a-time
-  :class:`~repro.translate.plan.BulkPlan`, and
+  :class:`~repro.translate.plan.BulkPlan`, :func:`audit_body_plan` to
+  a rule body's :class:`~repro.translate.plan.BodyPlan`, and
   :func:`audit_translated_ruleset` to the literal pipeline's per-rule
   queries;
 * :func:`audit_decision_lookup` holds the decision cache to its own
@@ -48,7 +49,7 @@ from repro.p3p.model import Policy
 from repro.storage.database import Database
 from repro.storage.shredder import PolicyStore
 from repro.translate.appel_to_sql import OptimizedSqlTranslator
-from repro.translate.plan import BulkPlan, CompiledPlan
+from repro.translate.plan import BodyPlan, BulkPlan, CompiledPlan
 
 #: Tables on the per-check critical path of the optimized schema.  A full
 #: scan of any of these turns O(index probe) checks into O(corpus) ones.
@@ -66,6 +67,11 @@ HOT_NODE_TABLES = frozenset(
     {"statement", "purpose", "recipient", "data_group", "data",
      "categories"}
 )
+
+#: What a rule body's statement must probe: the hot shredded tables,
+#: the body's handle, and the stored bit it reads before evaluating
+#: anything.
+BODY_HOT_TABLES = HOT_TABLES | {"rule_body", "rule_fired"}
 
 #: Tables whose whole point is O(1) access: a cache that the planner
 #: reads by scanning is slower than not having the cache at all.  Any
@@ -275,6 +281,31 @@ def audit_bulk_plan(db: Database, plan: BulkPlan,
     return findings
 
 
+def audit_body_plan(db: Database, plan: BodyPlan,
+                    where: str = "<body>",
+                    untrusted: Iterable[str] = ()) -> list[Finding]:
+    """Audit one rule-body plan: index usage, taint, bind arity.
+
+    Like a bulk plan it enumerates every active policy, so a scan of
+    ``policy`` is expected; the stored bit and the hot shredded tables
+    must be probed by key per policy (:data:`BODY_HOT_TABLES`).  *db*
+    must carry the rule-bit tables.
+    """
+    placeholders = strip_quoted(plan.sql).count("?")
+    if placeholders != 1:
+        return [Finding(
+            "error", "bind-arity",
+            f"body plan binds one rule_body hash but its SQL carries "
+            f"{placeholders} '?' placeholder(s): execute() would "
+            "mis-bind",
+            where=where,
+        )]
+    findings = scan_findings(db, plan.sql, ("probe",), where,
+                             hot_tables=BODY_HOT_TABLES)
+    findings.extend(taint_findings(plan.sql, untrusted, where))
+    return findings
+
+
 def audit_decision_lookup(db: Database, sql: str,
                           parameters: Sequence = (),
                           where: str = "<cache>") -> list[Finding]:
@@ -333,6 +364,7 @@ class CorpusAuditReport:
     bulk_plans_explained: int = 0
     cache_lookups_explained: int = 0
     structural_plans_explained: int = 0
+    body_plans_explained: int = 0
 
     @property
     def ok(self) -> bool:
@@ -350,7 +382,8 @@ def audit_corpus(policies: Sequence[Policy],
 
     For each preference: the compiled plan and its bulk forms (full
     corpus and a two-id micro-batch) are explained once each (they are
-    policy-independent) and, when *audit_literal* is set, the literal
+    policy-independent), so is each rule body's plan the first time a
+    preference brings it, and, when *audit_literal* is set, the literal
     translation is explained against every policy id (its SQL splices
     the id into the text, so each policy yields distinct statements).
     Reachability findings for each ruleset are differentially confirmed
@@ -398,6 +431,7 @@ def audit_corpus(policies: Sequence[Policy],
     bulk_plans = 0
     structural_plans = 0
     statements = 0
+    body_sql: set[str] = set()
 
     #: The cache's own statements are static SQL — audit them once
     #: against the fresh store, with representative binds.
@@ -428,6 +462,15 @@ def audit_corpus(policies: Sequence[Policy],
                 untrusted=untrusted))
             bulk_plans += 1
             statements += 1
+
+        for index, rule in enumerate(ruleset.rules):
+            body = translator.compile_body(rule)
+            if body.sql not in body_sql:
+                body_sql.add(body.sql)
+                findings.extend(audit_body_plan(
+                    audit_db, body, where=f"{name}/body[{index}]",
+                    untrusted=untrusted))
+                statements += 1
 
         structural = compile_structural(ruleset)
         findings.extend(audit_structural_plan(
@@ -470,4 +513,5 @@ def audit_corpus(policies: Sequence[Policy],
         bulk_plans_explained=bulk_plans,
         cache_lookups_explained=cache_lookups,
         structural_plans_explained=structural_plans,
+        body_plans_explained=len(body_sql),
     )

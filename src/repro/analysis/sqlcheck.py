@@ -40,6 +40,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.analysis.findings import Finding
 from repro.analysis.plans import (
+    BODY_HOT_TABLES,
     HOT_NODE_TABLES,
     HOT_TABLES,
     strip_quoted,
@@ -242,12 +243,12 @@ def static_contracts() -> list[StatementContract]:
     from repro.server.policy_server import (
         ACTIVE_POLICIES_SQL,
         CHECK_COUNT_SQL,
-        POLICY_ACTIVE_SQL,
         POLICY_VERSION_SQL,
         RETARGET_POLICYREF_SQL,
         CheckLogWriter,
     )
     from repro.storage.decision_cache import DecisionCache
+    from repro.storage.versioning import ACTIVE_VERSION_SQL
     from repro.storage.refstore import (
         APPLICABLE_COOKIE_POLICY_SQL,
         APPLICABLE_POLICY_SQL,
@@ -264,7 +265,8 @@ def static_contracts() -> list[StatementContract]:
         # Decision cache: reads are the replica-shared fast path, writes
         # go through the serialized writer only.  Every cache access,
         # the install's delete included, is a key probe: a scan there
-        # grows with registered preferences x policies.
+        # grows with registered preferences x policies — and the
+        # delete's version lookup grows with every version installed.
         StatementContract(
             where="cache/lookup", sql=DecisionCache.LOOKUP_SQL, binds=2,
             hot_tables=cache_tables),
@@ -277,13 +279,32 @@ def static_contracts() -> list[StatementContract]:
         StatementContract(
             where="cache/invalidate", sql=DecisionCache._INVALIDATE,
             binds=2, writes=frozenset({"decision_cache"}),
-            hot_tables=frozenset({"decision_cache"})),
+            hot_tables=frozenset({"decision_cache", "policy"})),
         StatementContract(
             where="cache/preference-id", sql=DecisionCache._PREF_ID,
             binds=1, hot_tables=frozenset({"preference_key"})),
         StatementContract(
             where="cache/preference-intern", sql=DecisionCache._INTERN,
             binds=1, writes=frozenset({"preference_key"})),
+        # Rule bits: the same discipline over rule_body/rule_fired.
+        StatementContract(
+            where="cache/body-id", sql=DecisionCache._BODY_ID, binds=1,
+            hot_tables=frozenset({"rule_body"})),
+        StatementContract(
+            where="cache/body-intern", sql=DecisionCache._INTERN_BODY,
+            binds=1, writes=frozenset({"rule_body"})),
+        StatementContract(
+            where="cache/bits-insert", sql=DecisionCache._INSERT_BITS,
+            binds=3, writes=frozenset({"rule_fired"})),
+        StatementContract(
+            where="cache/bits-invalidate",
+            sql=DecisionCache._INVALIDATE_BITS, binds=2,
+            writes=frozenset({"rule_fired"}),
+            hot_tables=frozenset({"rule_fired", "policy"})),
+        # An install's lookup of the version it supersedes.
+        StatementContract(
+            where="server/active-version", sql=ACTIVE_VERSION_SQL,
+            binds=2, hot_tables=frozenset({"policy"})),
         # Check log: the one write the serving path performs per check.
         StatementContract(
             where="server/check-log-insert", sql=CheckLogWriter._INSERT,
@@ -298,8 +319,6 @@ def static_contracts() -> list[StatementContract]:
         StatementContract(
             where="server/active-policies", sql=ACTIVE_POLICIES_SQL,
             binds=0),
-        StatementContract(
-            where="server/policy-active", sql=POLICY_ACTIVE_SQL, binds=1),
         # Install path: the only statement allowed to touch policyref
         # outside reference-file shredding.
         StatementContract(
@@ -355,7 +374,8 @@ def engine_contracts(policies: Sequence[Policy],
     For each preference level: the literal translation per policy id
     (its SQL splices the id into the text, so each policy yields
     distinct statements), the compiled point plan, the bulk plan (full
-    corpus and a two-id micro-batch), the per-rule XTABLE SQL, and the
+    corpus and a two-id micro-batch), each rule body's plan (once per
+    distinct body across the levels), the per-rule XTABLE SQL, and the
     structural plan.  Returns the contracts plus how many XTABLE rules
     exceeded the *default* complexity budget (their SQL is still
     checked — the budget guards latency, not validity).
@@ -380,6 +400,7 @@ def engine_contracts(policies: Sequence[Policy],
     policy_ids = range(1, len(policies) + 1)
     contracts: list[StatementContract] = []
     over_budget = 0
+    body_sql: set[str] = set()
 
     for name, ruleset in preferences.items():
         plan = translator.compile_ruleset(ruleset)
@@ -397,6 +418,15 @@ def engine_contracts(policies: Sequence[Policy],
                 binds=bulk.parameter_count,
                 probe=bulk.parameters(probe_ids) if bulk.rules else (),
                 hot_tables=HOT_TABLES))
+
+        for index, rule in enumerate(ruleset.rules):
+            body = translator.compile_body(rule)
+            if body.sql not in body_sql:
+                body_sql.add(body.sql)
+                contracts.append(StatementContract(
+                    where=f"{name}/body[{index}]", sql=body.sql,
+                    binds=1, probe=("probe",),
+                    hot_tables=BODY_HOT_TABLES))
 
         for policy_id in policy_ids:
             translated = translator.translate_ruleset(

@@ -63,7 +63,6 @@ from repro.appel.model import Ruleset
 from repro.net import framing, protocol
 from repro.net.httpd import PolicyService
 from repro.server.policy_server import (
-    MATCH_BATCH_SIZE,
     POLICY_VERSION_SQL,
     CheckResult,
     PolicyServer,
@@ -78,6 +77,11 @@ __all__ = ["AsyncP3PServer", "BatchingExecutor", "serve_async"]
 EXECUTOR_THREADS = 4
 #: Preferences the ``batching.by_preference`` depth map remembers.
 PREFERENCE_DEPTHS = 32
+#: Cache misses are repaired with batched bulk plans of at most this
+#: many policy ids per statement — bounded bind arity (ids × rules)
+#: regardless of corpus size, and at most a handful of distinct batch
+#: shapes in the translation cache.
+MATCH_BATCH_SIZE = 64
 
 
 def _bucket(size: int) -> int:

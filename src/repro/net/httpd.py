@@ -12,7 +12,7 @@ stdlib only:
   check log flushed before replying).
 * ``POST /v1/match``        — one preference against the *whole* corpus
   (``match_all``): answered from the materialized decision cache where
-  possible, misses repaired set-at-a-time by a bulk plan.  Registering
+  possible, misses repaired set-at-a-time from rule bits.  Registering
   a preference eagerly populates its cache rows, so the first match
   after registration is already warm.
 * ``POST /v1/policies``     — install a policy (optionally with its

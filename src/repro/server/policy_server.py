@@ -47,18 +47,22 @@ Serving-scale additions beyond the paper:
   uniqueness, so a *retried* check (lost response, dropped connection)
   is logged exactly once — see docs/architecture.md "Failure model".
 * decisions are **materialized**: registering a preference
-  (:meth:`PolicyServer.register_preference`) runs one set-at-a-time
-  :class:`~repro.translate.plan.BulkPlan` over every active policy and
-  stores the results in the ``decision_cache`` table
+  (:meth:`PolicyServer.register_preference`) decides every active
+  policy from *rule bits* — whether each of its rule bodies fires
+  against each policy, stored in ``rule_fired`` and shared by every
+  preference containing the body — evaluating set-at-a-time only the
+  (body, policy) pairs no earlier preference settled, and stores the
+  decisions in the ``decision_cache`` table
   (:mod:`repro.storage.decision_cache`), so a warm check — and a warm
   corpus match (:meth:`PolicyServer.match_all`) — is an indexed point
   lookup, no plan execution at all.  Version bumps invalidate only the
-  superseded version's rows, inside the install transaction; see
-  docs/architecture.md "Decision cache".
+  superseded version's rows and bits, inside the install transaction;
+  see docs/architecture.md "Materialized decision cache".
 """
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import logging
@@ -71,12 +75,13 @@ from functools import lru_cache
 from typing import Iterable, Sequence
 
 from repro.analysis.plans import (
+    audit_body_plan,
     audit_bulk_plan,
     audit_compiled_plan,
     audit_structural_plan,
     plan_untrusted_strings,
 )
-from repro.appel.model import Ruleset
+from repro.appel.model import Rule, Ruleset
 from repro.appel.parser import parse_ruleset
 from repro.appel.serializer import serialize_ruleset
 from repro.p3p.model import Policy
@@ -91,7 +96,12 @@ from repro.storage.refstore import ReferenceStore
 from repro.storage.shredder import PolicyStore, ShredReport
 from repro.storage.versioning import VersionedPolicyStore
 from repro.translate.appel_to_sql import OptimizedSqlTranslator
-from repro.translate.plan import BulkPlan, CompiledPlan, TranslationCache
+from repro.translate.plan import (
+    BodyPlan,
+    BulkPlan,
+    CompiledPlan,
+    TranslationCache,
+)
 from repro.xquery.structural import StructuralPlan
 from repro.xquery.structural import compile_ruleset as compile_structural
 
@@ -104,15 +114,9 @@ __all__ = [
     "TranslationCache",
 ]
 
-#: Cache-miss repair during :meth:`PolicyServer.match_all` uses batched
-#: bulk plans of at most this many policy ids per statement — bounded
-#: bind arity (ids × rules) regardless of corpus size, and at most a
-#: handful of distinct batch shapes in the translation cache.
-MATCH_BATCH_SIZE = 64
-
 #: How many times :meth:`PolicyServer.match_all` re-reads when a racing
 #: install deactivates a listed policy version between the cache listing
-#: and the repair query (the bulk plan only sees active policies).
+#: and the repair (the body statements only see active policies).
 MATCH_RACE_RETRIES = 3
 
 logger = logging.getLogger(__name__)
@@ -155,7 +159,6 @@ POLICY_VERSION_SQL = "SELECT version FROM policy WHERE policy_id = ?"
 ACTIVE_POLICIES_SQL = (
     "SELECT policy_id, version FROM policy WHERE active = 1"
 )
-POLICY_ACTIVE_SQL = "SELECT active FROM policy WHERE policy_id = ?"
 CHECK_COUNT_SQL = "SELECT COUNT(*) FROM check_log"
 
 
@@ -170,6 +173,50 @@ def _ruleset_hash(preference: Ruleset) -> str:
     whole ruleset per check would dominate a cache-hit check)."""
     text = serialize_ruleset(preference, indent=False)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@lru_cache(maxsize=4096)
+def rule_body_hash(rule: Rule) -> str:
+    """SHA-256 of a rule's *body*: its connective and expressions in the
+    canonical serialization, without behavior, description or prompt.
+    Rules with equal bodies fire against exactly the same policies, so
+    this is the key their ``rule_fired`` bits are shared under."""
+    body = Rule(behavior="body", expressions=rule.expressions,
+                connective=rule.connective)
+    text = serialize_ruleset(Ruleset(rules=(body,)), indent=False)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+#: One rule body's bits over the active corpus: the ids of the policies
+#: it has a bit for, and of those it fires against.
+BodyBits = tuple[set[int], set[int]]
+
+
+def _first_fired(preference: Ruleset, rule_bits: Sequence[BodyBits],
+                policy_ids: Iterable[int]
+                ) -> tuple[dict[int, tuple[str, int]], set[int]]:
+    """First-rule-wins over rule bits.
+
+    *rule_bits* holds each rule's :data:`BodyBits`, in rule order.
+    Returns ``{policy_id: (behavior, rule_index)}`` for the policies
+    some rule fires against (others are absent, as in
+    :meth:`BulkPlan.execute`), and the ids a rule's body has no bit for
+    before any earlier rule fired — policies that were not active when
+    that body was read.
+    """
+    fired: dict[int, tuple[str, int]] = {}
+    unknown: set[int] = set()
+    undecided = set(policy_ids)
+    for index, (rule, (known, hits)) in enumerate(
+            zip(preference.rules, rule_bits)):
+        if not undecided:
+            break
+        unknown |= undecided - known
+        undecided &= known
+        for policy_id in undecided & hits:
+            fired[policy_id] = (rule.behavior, index)
+        undecided -= hits
+    return fired, unknown
 
 
 class CheckLogWriter:
@@ -363,9 +410,9 @@ class PolicyServer:
     are shredded into both, and a policy that pre-dates the sidecar (a
     server opened on an existing file) is reconstructed from the
     optimized store on first check.  Set-at-a-time paths
-    (:meth:`register_preference`, :meth:`match_all`) stay on the SQL
-    bulk plans for either engine — the structural compiler has no bulk
-    form yet.
+    (:meth:`register_preference`, :meth:`match_all`) decide from the
+    SQL rule bits for either engine — the structural compiler has no
+    set-at-a-time form yet.
     """
 
     ENGINES = ("sql", "structural")
@@ -606,23 +653,31 @@ class PolicyServer:
     def register_preference(self, preference: Ruleset | str) -> int:
         """Materialize the whole corpus decision for *preference*.
 
-        One bulk plan execution decides every active policy at once;
-        the rows — negatives included, so later misses are only ever
-        *new* policies — are stored in a single transaction (a crash
-        mid-populate leaves nothing, see tests/test_decision_cache.py).
-        The paper's pay-once insight applied to the corpus: after this,
-        every check and corpus match for the preference is an indexed
-        point lookup.  Returns the number of rows cached.
+        Each distinct rule body is read against every active policy in
+        one statement that evaluates only the pairs with no stored bit
+        (a body another preference already brought costs primary-key
+        probes, not an evaluation); the new bits and each policy's
+        decision — the lowest rule index whose body fired, negatives
+        included, so later misses are only ever *new* policies — are
+        stored in a single transaction (a crash mid-populate leaves
+        nothing, see tests/test_decision_cache.py).  The paper's
+        pay-once insight applied to the corpus: after this, every check
+        and corpus match for the preference is an indexed point lookup.
+        Returns the number of decision rows cached.
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
         key = _ruleset_hash(preference)
-        plan = self.translate_bulk(preference)
         with self.pool.write() as db:
             with db.transaction():
                 actives = [(int(row["policy_id"]), int(row["version"]))
                            for row in db.query(ACTIVE_POLICIES_SQL)]
-                fired = plan.execute(db, ())
+                rule_bits, fresh = self._read_bits(db, preference)
+                fired, _unknown = _first_fired(
+                    preference, rule_bits,
+                    [policy_id for policy_id, _ in actives])
+                if self.cache_decisions:
+                    self.decisions.store_bits(db, fresh)
                 rows = decision_rows(key, actives, fired)
                 self.decisions.store_rows(db, rows)
         return len(rows)
@@ -633,10 +688,10 @@ class PolicyServer:
         Warm (registered preference, no installs since): one indexed
         statement — every active policy LEFT JOINed to its cached,
         version-guarded decision.  Cache misses (new policies, or a
-        never-registered preference) are repaired set-at-a-time: the
-        full bulk plan when nothing is cached, ``policy_id IN (...)``
-        micro-batches of at most :data:`MATCH_BATCH_SIZE` otherwise,
-        and the repaired rows are written back (best-effort).
+        never-registered preference) are repaired from rule bits read
+        on this thread's reader, as :meth:`register_preference` decides
+        them, and the new bits and decisions are written back
+        (best-effort).
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
@@ -644,32 +699,22 @@ class PolicyServer:
         start = time.perf_counter()
         for _attempt in range(MATCH_RACE_RETRIES + 1):
             fired: dict[int, tuple] = {}
+            stale: set[int] = set()
+            fresh: list[tuple] = []
             with self.pool.read() as db:
                 rows = self.decisions.match_rows(db, key)
                 missing = [(int(row["policy_id"]), int(row["version"]))
                            for row in rows if not row["cached"]]
-                if missing and len(missing) == len(rows):
-                    fired = self.translate_bulk(preference).execute(db, ())
-                elif missing:
-                    ids = [policy_id for policy_id, _ in missing]
-                    for offset in range(0, len(ids), MATCH_BATCH_SIZE):
-                        chunk = tuple(ids[offset:offset + MATCH_BATCH_SIZE])
-                        plan = self.translate_bulk(preference,
-                                                   batch_size=len(chunk))
-                        fired.update(plan.execute(db, chunk))
-                # The bulk plan's policy source is ``active = 1``, and
-                # reads here are not one snapshot: an install committing
-                # between the listing above and the repair query can
-                # deactivate a listed version, which would otherwise be
-                # served with no decision at all.  Absence from *fired*
-                # alone doesn't prove that (a policy no rule fires
-                # against is legitimately absent), so re-check
-                # activeness and re-read when a listed version is gone.
-                stale = {
-                    policy_id for policy_id, _ in missing
-                    if policy_id not in fired and db.scalar(
-                        POLICY_ACTIVE_SQL, (policy_id,)) != 1
-                }
+                if missing:
+                    rule_bits, fresh = self._read_bits(db, preference)
+                    # Reads here are not one snapshot: an install
+                    # committing between the listing above and a body
+                    # statement can deactivate a listed version, which
+                    # the body statements (active policies only) then
+                    # leave without a bit.  Re-read when that happens.
+                    fired, stale = _first_fired(
+                        preference, rule_bits,
+                        [policy_id for policy_id, _ in missing])
             if not stale:
                 break
             self.decisions.record_repair_race(len(stale))
@@ -685,7 +730,7 @@ class PolicyServer:
                                    len(missing))
         if missing and self.cache_decisions:
             self._store_decisions(decision_rows(key, missing, fired),
-                                  best_effort=True)
+                                  best_effort=True, bits=fresh)
         decisions: list[MatchDecision] = []
         for row in rows:
             policy_id = int(row["policy_id"])
@@ -710,6 +755,51 @@ class PolicyServer:
             elapsed_seconds=time.perf_counter() - start,
         )
 
+    def _read_bits(self, db: Database, preference: Ruleset
+                   ) -> tuple[list[BodyBits], list[tuple]]:
+        """Every active policy's bit for each rule body of *preference*:
+        one :data:`BodyBits` per rule (rules with equal bodies share one
+        read), plus the ``(body_hash, policy_id, fired)`` bits that had
+        to be evaluated because none was stored.  With
+        ``cache_decisions=False`` no stored bit is read: every pair is
+        evaluated."""
+        by_body: dict[str, BodyBits] = {}
+        rule_bits: list[BodyBits] = []
+        fresh: list[tuple] = []
+        read = 0
+        for rule in preference.rules:
+            body_hash = rule_body_hash(rule)
+            bits = by_body.get(body_hash)
+            if bits is None:
+                rows = self.translate_body(rule, body_hash).execute(
+                    db, body_hash if self.cache_decisions else None)
+                bits = by_body[body_hash] = (
+                    {row[0] for row in rows},
+                    {row[0] for row in rows if row[1]})
+                fresh.extend((body_hash, row[0], row[1])
+                             for row in rows if row[2])
+                read += len(rows)
+            rule_bits.append(bits)
+        self.decisions.record_bits(len(fresh), read - len(fresh))
+        return rule_bits, fresh
+
+    def translate_body(self, rule: Rule, body_hash: str) -> BodyPlan:
+        """The cached :class:`BodyPlan` of *rule*'s body.
+
+        Keyed by body hash, so the cache grows with distinct rule
+        bodies, not with preferences; like every plan here it embeds no
+        policy id.
+        """
+        key = (body_hash, "body")
+        plan = self._translation_cache.get(key)
+        if plan is None:
+            plan = self.translator.compile_body(rule)
+            if self.audit_plans:
+                self._audit(audit_body_plan, plan, f"body:{body_hash[:12]}",
+                            plan_untrusted_strings(Ruleset(rules=(rule,))))
+            self._translation_cache.put(key, plan)
+        return plan
+
     def translate_bulk(self, preference: Ruleset,
                        batch_size: int = 0) -> BulkPlan:
         """The cached bulk plan for *preference* (full corpus, or a
@@ -724,13 +814,16 @@ class PolicyServer:
         if plan is None:
             plan = self.translator.compile_bulk(preference, batch_size)
             if self.audit_plans:
-                self._audit_bulk(key, preference, plan)
+                self._audit(audit_bulk_plan, plan, f"bulk:{key[0][:12]}",
+                            plan_untrusted_strings(preference))
             self._translation_cache.put(key, plan)
         return plan
 
     def _store_decisions(self, rows: list[tuple],
-                         best_effort: bool = False) -> int:
-        """Write decision rows through the serialized writer, atomically.
+                         best_effort: bool = False,
+                         bits: Sequence[tuple] = ()) -> int:
+        """Write decision rows (and the rule *bits* they were decided
+        from) through the serialized writer, atomically.
 
         ``best_effort`` swallows (and counts) failures — cache writes
         on the check path are an optimization, never a reason to fail
@@ -739,6 +832,7 @@ class PolicyServer:
         try:
             with self.pool.write() as db:
                 with db.transaction():
+                    self.decisions.store_bits(db, bits)
                     return self.decisions.store_rows(db, rows)
         except Exception:
             if not best_effort:
@@ -747,19 +841,6 @@ class PolicyServer:
             logger.warning("decision-cache write-back failed",
                            exc_info=True)
             return 0
-
-    def _audit_bulk(self, key, preference: Ruleset,
-                    plan: BulkPlan) -> None:
-        """EXPLAIN-audit a freshly compiled bulk plan (flag-gated)."""
-        with self.pool.read() as db:
-            findings = audit_bulk_plan(
-                db, plan, where=f"bulk:{key[0][:12]}",
-                untrusted=plan_untrusted_strings(preference),
-            )
-            db.stats.record_audit(len(findings))
-        self.last_audit_findings = tuple(findings)
-        for finding in findings:
-            logger.warning("bulk plan audit: %s", finding)
 
     def translate(self, preference: Ruleset) -> CompiledPlan:
         """The cached compiled plan for *preference*.
@@ -773,7 +854,8 @@ class PolicyServer:
         if plan is None:
             plan = self.translator.compile_ruleset(preference)
             if self.audit_plans:
-                self._audit_plan(key, preference, plan)
+                self._audit(audit_compiled_plan, plan, f"plan:{key[:12]}",
+                            plan_untrusted_strings(preference))
             self._translation_cache.put(key, plan)
         return plan
 
@@ -789,7 +871,10 @@ class PolicyServer:
         if plan is None:
             plan = compile_structural(preference)
             if self.audit_plans:
-                self._audit_structural(key, preference, plan)
+                self._audit(audit_structural_plan, plan,
+                            f"structural:{key[0][:12]}",
+                            plan_untrusted_strings(preference),
+                            db=self._structural_db)
             self._translation_cache.put(key, plan)
         return plan
 
@@ -811,38 +896,22 @@ class PolicyServer:
                 self._structural_ids[policy_id] = handle
             return plan.execute(self._structural_db, handle)
 
-    def _audit_structural(self, key, preference: Ruleset,
-                          plan: StructuralPlan) -> None:
-        """EXPLAIN-audit a freshly compiled structural plan (flag-gated).
-
-        Runs against the sidecar — the only database carrying the
-        generic node tables and their structural indexes.
-        """
-        findings = audit_structural_plan(
-            self._structural_db, plan, where=f"structural:{key[0][:12]}",
-            untrusted=plan_untrusted_strings(preference),
-        )
-        self._structural_db.stats.record_audit(len(findings))
-        self.last_audit_findings = tuple(findings)
-        for finding in findings:
-            logger.warning("structural plan audit: %s", finding)
-
-    def _audit_plan(self, key: str, preference: Ruleset,
-                    plan: CompiledPlan) -> None:
+    def _audit(self, audit, plan, where: str, untrusted: list[str],
+               db: Database | None = None) -> None:
         """EXPLAIN-audit a freshly compiled plan (flag-gated).
 
         Findings never reject the plan — a full scan is slow, not
         wrong — but they are logged and counted on the connection's
         stats, which the pool aggregates into ``/metrics``.  Runs once
         per compilation (cache misses only), so the audit cost is paid
-        with the translation cost, not per check.
+        with the translation cost, not per check.  Structural plans
+        pass *db*, the sidecar: the only database carrying the generic
+        node tables and their structural indexes.
         """
-        with self.pool.read() as db:
-            findings = audit_compiled_plan(
-                db, plan, where=f"plan:{key[:12]}",
-                untrusted=plan_untrusted_strings(preference),
-            )
-            db.stats.record_audit(len(findings))
+        with (self.pool.read() if db is None
+              else contextlib.nullcontext(db)) as conn:
+            findings = audit(conn, plan, where=where, untrusted=untrusted)
+            conn.stats.record_audit(len(findings))
         self.last_audit_findings = tuple(findings)
         for finding in findings:
             logger.warning("plan audit: %s", finding)

@@ -119,20 +119,23 @@ class ExplainStep:
 
     @property
     def is_scan(self) -> bool:
-        """True for a full-table scan step (``SCAN t``, no index)."""
+        """True for a full scan step: ``SCAN t``, also when it walks an
+        index (``SCAN t USING COVERING INDEX i`` still visits every
+        entry of *t*)."""
         return (self.detail.startswith("SCAN")
-                and not self.uses_index
                 and "CONSTANT ROW" not in self.detail)
 
     @property
     def uses_index(self) -> bool:
-        """True for a step that probes an index; ``USING PRIMARY KEY`` is
-        the clustered key of a ``WITHOUT ROWID`` table."""
-        return ("USING INDEX" in self.detail
-                or "USING COVERING INDEX" in self.detail
-                or "USING INTEGER PRIMARY KEY" in self.detail
-                or "USING PRIMARY KEY" in self.detail
-                or "USING ROWID SEARCH" in self.detail)
+        """True for a ``SEARCH`` step that probes an index; ``USING
+        PRIMARY KEY`` is the clustered key of a ``WITHOUT ROWID``
+        table."""
+        return self.detail.startswith("SEARCH") and (
+            "USING INDEX" in self.detail
+            or "USING COVERING INDEX" in self.detail
+            or "USING INTEGER PRIMARY KEY" in self.detail
+            or "USING PRIMARY KEY" in self.detail
+            or "USING ROWID SEARCH" in self.detail)
 
     @property
     def table(self) -> str | None:

@@ -33,6 +33,19 @@ integer rows keep those ranges dense enough that the writes stay cheap
 (``docs/architecture.md``, "Materialized decision cache", has the
 measured trade).
 
+**Rule bits.**  Preferences share rules: the JRC editor builds a
+preference by choosing from a set of predefined rules (Sec. 3.3), and
+whether a rule's *body* — its connective and expressions, without the
+behavior, description or prompt — fires against a policy does not
+depend on the rest of the ruleset.  Each distinct body is interned once
+in ``rule_body`` by a canonical hash, and ``rule_fired(policy_id,
+body_id) -> fired`` records whether it fires against a policy id.  A
+policy id's content never changes, so a bit never goes stale either; an
+install deletes the bits of the superseded versions with their
+decisions.  Registering a preference evaluates only the (body, policy)
+pairs that have no bit yet and derives each policy's decision from the
+bits: the lowest rule index whose body fired.
+
 All SQL here is static text over storage-layer tables; the serving
 layer calls these methods with a pooled connection and never assembles
 cache SQL itself.
@@ -61,6 +74,24 @@ CREATE TABLE IF NOT EXISTS decision_cache (
   behavior        TEXT,
   rule_index      INTEGER,
   PRIMARY KEY (policy_id, pref_id, policy_version)
+) WITHOUT ROWID;
+"""
+
+RULE_BODY_DDL = """
+CREATE TABLE IF NOT EXISTS rule_body (
+  body_id    INTEGER PRIMARY KEY,
+  body_hash  TEXT NOT NULL UNIQUE
+);
+"""
+
+#: Clustered by policy like ``decision_cache``: an install's delete is
+#: one key range per superseded version.
+RULE_FIRED_DDL = """
+CREATE TABLE IF NOT EXISTS rule_fired (
+  policy_id  INTEGER NOT NULL,
+  body_id    INTEGER NOT NULL,
+  fired      INTEGER NOT NULL,
+  PRIMARY KEY (policy_id, body_id)
 ) WITHOUT ROWID;
 """
 
@@ -148,6 +179,23 @@ class DecisionCache:
         "WHERE name = ? AND site IS ? AND active = 0)"
     )
 
+    _BODY_ID = "SELECT body_id FROM rule_body WHERE body_hash = ?"
+
+    _INTERN_BODY = "INSERT INTO rule_body (body_hash) VALUES (?)"
+
+    _INSERT_BITS = (
+        "INSERT OR REPLACE INTO rule_fired (policy_id, body_id, fired) "
+        "VALUES (?, ?, ?)"
+    )
+
+    #: The bits of the same superseded versions, deleted with their
+    #: decisions.
+    _INVALIDATE_BITS = (
+        "DELETE FROM rule_fired WHERE policy_id IN ("
+        "SELECT policy_id FROM policy "
+        "WHERE name = ? AND site IS ? AND active = 0)"
+    )
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.hits = 0
@@ -156,20 +204,26 @@ class DecisionCache:
         self.invalidated = 0
         self.write_errors = 0
         self.repair_races = 0
+        self.rule_bodies = 0
+        self.bits_evaluated = 0
+        self.bits_reused = 0
 
     # -- schema ---------------------------------------------------------------
 
     def ensure_schema(self, db: Database) -> None:
         """Create the tables, or rebuild a table keyed by ``pref_hash``
         (any earlier layout) in place, rows kept."""
-        if "pref_hash" not in db.table_columns("decision_cache"):
-            db.executescript(PREFERENCE_KEY_DDL + DECISION_CACHE_DDL)
-            return
-        try:
-            db.executescript(_MIGRATION)
-        except StorageError:
-            db.rollback()
-            raise
+        if "pref_hash" in db.table_columns("decision_cache"):
+            try:
+                db.executescript(_MIGRATION)
+            except StorageError:
+                db.rollback()
+                raise
+        db.executescript(PREFERENCE_KEY_DDL + DECISION_CACHE_DDL
+                         + RULE_BODY_DDL + RULE_FIRED_DDL)
+        with self._lock:
+            self.rule_bodies = int(
+                db.scalar("SELECT COUNT(*) FROM rule_body"))
 
     # -- reads ----------------------------------------------------------------
 
@@ -237,15 +291,47 @@ class DecisionCache:
             pref_id = db.execute(self._INTERN, (pref_hash,)).lastrowid
         return int(pref_id)
 
+    def store_bits(self, db: Database,
+                   bits: Sequence[tuple[str, int, int]]) -> int:
+        """Record evaluated rule bits: ``(body_hash, policy_id, fired)``
+        tuples, each body interned on its first write.  The caller owns
+        transaction scope, as for :meth:`store_rows`."""
+        if not bits:
+            return 0
+        body_ids = {body_hash: self._body_id(db, body_hash)
+                    for body_hash in dict.fromkeys(bit[0] for bit in bits)}
+        db.executemany(self._INSERT_BITS, [
+            (policy_id, body_ids[body_hash], fired)
+            for body_hash, policy_id, fired in bits])
+        return len(bits)
+
+    def _body_id(self, db: Database, body_hash: str) -> int:
+        """The integer handle of *body_hash*, assigned on its first
+        write (under the serialized writer, as for :meth:`_pref_id`)."""
+        body_id = db.scalar(self._BODY_ID, (body_hash,))
+        if body_id is None:
+            body_id = db.execute(self._INTERN_BODY, (body_hash,)).lastrowid
+            with self._lock:
+                self.rule_bodies += 1
+        return int(body_id)
+
+    def record_bits(self, evaluated: int, reused: int) -> None:
+        """Count (body, policy) pairs evaluated against the policy
+        tables and pairs answered from stored bits."""
+        with self._lock:
+            self.bits_evaluated += evaluated
+            self.bits_reused += reused
+
     def invalidate_inactive(self, db: Database, name: str,
                             site: str | None) -> int:
-        """Drop the cached decisions of every superseded version of
-        (*name*, *site*); returns rows deleted.
+        """Drop the cached decisions and rule bits of every superseded
+        version of (*name*, *site*); returns decision rows deleted.
 
         Called by the installer inside its write transaction, right
         after a version bump deactivates the old ``policy_id`` — the
         delete and the install commit or roll back together.
         """
+        db.execute(self._INVALIDATE_BITS, (name, site))
         cursor = db.execute(self._INVALIDATE, (name, site))
         deleted = max(0, cursor.rowcount)
         with self._lock:
@@ -282,6 +368,9 @@ class DecisionCache:
                 "invalidated": self.invalidated,
                 "write_errors": self.write_errors,
                 "repair_races": self.repair_races,
+                "rule_bodies": self.rule_bodies,
+                "bits_evaluated": self.bits_evaluated,
+                "bits_reused": self.bits_reused,
             }
 
 

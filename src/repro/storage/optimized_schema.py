@@ -108,6 +108,9 @@ CREATE INDEX IF NOT EXISTS idx_purpose_statement ON purpose(policy_id, statement
 CREATE INDEX IF NOT EXISTS idx_recipient_statement ON recipient(policy_id, statement_id);
 CREATE INDEX IF NOT EXISTS idx_data_statement ON data(policy_id, statement_id);
 CREATE INDEX IF NOT EXISTS idx_category_data ON category(policy_id, statement_id, data_id);
+-- Version lookups by (name, site): an install's active-version probe and
+-- the decision cache's invalidation of superseded versions.
+CREATE INDEX IF NOT EXISTS idx_policy_name_site ON policy(name, site, active);
 """
 
 #: Figure 16: tables for storing the reference file information.

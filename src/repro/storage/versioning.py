@@ -21,6 +21,15 @@ from repro.storage.reconstruct import reconstruct_policy
 from repro.storage.shredder import PolicyStore, ShredReport
 
 
+#: The active version of a (name, site) chain: a probe of
+#: ``idx_policy_name_site``, however many versions were ever installed.
+ACTIVE_VERSION_SQL = (
+    "SELECT policy_id, version FROM policy "
+    "WHERE name = ? AND site IS ? AND active = 1 "
+    "ORDER BY version DESC LIMIT 1"
+)
+
+
 @dataclass(frozen=True)
 class PolicyVersion:
     """One entry in a named policy's version history."""
@@ -49,12 +58,7 @@ class VersionedPolicyStore:
         if policy.name is None:
             raise StorageError("versioned installs require a policy name")
 
-        current = self.db.query_one(
-            "SELECT policy_id, version FROM policy "
-            "WHERE name = ? AND site IS ? AND active = 1 "
-            "ORDER BY version DESC LIMIT 1",
-            (policy.name, site),
-        )
+        current = self.db.query_one(ACTIVE_VERSION_SQL, (policy.name, site))
         next_version = 1 if current is None else current["version"] + 1
 
         report = self.store.install_policy(
@@ -80,10 +84,16 @@ class VersionedPolicyStore:
         return reconstruct_policy(self.db, self.active_policy_id(name))
 
     def history(self, name: str) -> list[PolicyVersion]:
-        """All versions of *name*, oldest first."""
+        """All versions of *name*, oldest first.
+
+        An install after a rollback repeats a version number; such ties
+        come back in install order (``policy_id``), which
+        :meth:`rollback` relies on — the planner's scan order, which
+        ``idx_policy_name_site`` changes, must not decide them.
+        """
         rows = self.db.query(
             "SELECT policy_id, name, version, active, installed_at "
-            "FROM policy WHERE name = ? ORDER BY version",
+            "FROM policy WHERE name = ? ORDER BY version, policy_id",
             (name,),
         )
         return [
@@ -100,7 +110,8 @@ class VersionedPolicyStore:
     def version(self, name: str, version: int) -> Policy:
         """Reconstruct a specific historical version of *name*."""
         policy_id = self.db.scalar(
-            "SELECT policy_id FROM policy WHERE name = ? AND version = ?",
+            "SELECT policy_id FROM policy WHERE name = ? AND version = ? "
+            "ORDER BY policy_id LIMIT 1",
             (name, version),
         )
         if policy_id is None:

@@ -44,10 +44,12 @@ from repro.storage.database import Database, quote_ident, sql_literal
 from repro.translate import sqlgen
 from repro.translate.plan import (
     APPLICABLE_POLICY_PARAM,
+    BodyPlan,
     BulkPlan,
     CompiledPlan,
     PlanRule,
     batched_policy_source,
+    body_statement,
     combine_bulk_rules,
     combine_rules,
 )
@@ -326,6 +328,12 @@ class OptimizedSqlTranslator:
         micro-batch) in one statement."""
         return _compile_bulk(self, ruleset, batch_size)
 
+    def compile_body(self, rule: Rule) -> BodyPlan:
+        """Compile *rule*'s body against the stored bits of every
+        active policy; behavior and position play no part."""
+        return BodyPlan(sql=body_statement(self.BULK_POLICY_SOURCE,
+                                           self.rule_clause(rule)))
+
     def translate_ruleset(self, ruleset: Ruleset,
                           applicable_policy_sql: str) -> TranslatedRuleset:
         return TranslatedRuleset(
@@ -344,9 +352,14 @@ class OptimizedSqlTranslator:
         header = _rule_header(rule.behavior, applicable_policy_sql,
                               rule_index,
                               project_policy_id=project_policy_id)
+        return header + self.rule_clause(rule)
+
+    def rule_clause(self, rule: Rule) -> str:
+        """The boolean clause, correlated with ``applicable_policy``,
+        that holds where *rule*'s body fires."""
         if rule.is_catch_all():
-            return header + TRUE_CLAUSE
-        return header + _root_clauses(rule, self._policy_clause)
+            return TRUE_CLAUSE
+        return _root_clauses(rule, self._policy_clause)
 
     # -- POLICY level -----------------------------------------------------------
 

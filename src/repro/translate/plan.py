@@ -29,6 +29,12 @@ wins per policy is expressed with a window function —
 A batched variant (``batch_size > 0``) narrows the same statement to a
 ``policy_id IN (?, ...)`` micro-batch for the serving tier.
 
+A :class:`BodyPlan` is the unit preferences share: one rule *body*
+(its connective and expressions, without behavior or position) compiled
+set-at-a-time against the stored rule bits of every active policy, so
+the server evaluates each (body, policy) pair once however many
+preferences contain the body.
+
 :class:`TranslationCache` (the bounded, thread-safe LRU the serving
 layer shares) lives here too: it caches compiled plans keyed by
 preference content hash alone.
@@ -199,6 +205,48 @@ def combine_bulk_rules(rules: tuple[PlanRule, ...]) -> str:
         ") AS ranked\n"
         "WHERE rule_index = first_rule_index\n"
         "ORDER BY policy_id"
+    )
+
+
+@dataclass(frozen=True)
+class BodyPlan:
+    """One rule body compiled against every active policy at once.
+
+    ``sql`` takes one bind, the body's ``rule_body`` hash, and returns
+    one ``(policy_id, fired, fresh)`` row per active policy: the stored
+    ``rule_fired`` bit where one exists (``fresh = 0``), else the body
+    evaluated against the policy tables (``fresh = 1``).  ``COALESCE``
+    evaluates the body only where no bit is stored, so a known pair
+    costs one primary-key probe.  A hash never interned — or ``None`` —
+    reads no bits: every active policy is evaluated.
+    """
+
+    sql: str
+
+    def execute(self, db: Database, body_hash: str | None) -> list:
+        """One round trip: the ``(policy_id, fired, fresh)`` rows."""
+        return db.query(self.sql, (body_hash,))
+
+    def size_chars(self) -> int:
+        """Memory proxy: characters of SQL this plan pins in a cache."""
+        return len(self.sql)
+
+
+def body_statement(source: str, clause: str) -> str:
+    """The :class:`BodyPlan` statement for a body's boolean *clause*
+    over the ApplicablePolicy *source* (which the clause correlates
+    with as ``applicable_policy``)."""
+    return (
+        "SELECT applicable_policy.policy_id AS policy_id,\n"
+        "       COALESCE(bit.fired,\n"
+        "                CASE WHEN " + clause + "\n"
+        "                THEN 1 ELSE 0 END) AS fired,\n"
+        "       bit.fired IS NULL AS fresh\n"
+        "FROM (\n" + source + "\n) AS applicable_policy\n"
+        "LEFT JOIN rule_fired AS bit\n"
+        "       ON bit.policy_id = applicable_policy.policy_id\n"
+        "      AND bit.body_id = (SELECT body_id FROM rule_body\n"
+        "                         WHERE body_hash = ?)"
     )
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     HOT_TABLES,
+    audit_body_plan,
     audit_bulk_plan,
     audit_compiled_plan,
     audit_corpus,
@@ -21,7 +22,7 @@ from repro.translate.appel_to_sql import (
     OptimizedSqlTranslator,
     applicable_policy_literal,
 )
-from repro.translate.plan import BulkPlan, CompiledPlan, PlanRule
+from repro.translate.plan import BodyPlan, BulkPlan, CompiledPlan, PlanRule
 
 
 @pytest.fixture()
@@ -81,6 +82,16 @@ class TestScanFindings:
                                  "consequence = 'x'")
         assert [f.code for f in findings] == ["full-scan"]
         assert "statement" in findings[0].message
+
+    def test_scan_through_a_covering_index_is_still_a_scan(self, store):
+        # Planned as "SCAN statement USING COVERING INDEX
+        # idx_statement_policy": every entry is read, index or not.
+        sql = "SELECT COUNT(*) FROM statement"
+        (step,) = store.db.explain(sql)
+        assert "USING COVERING INDEX" in step.detail
+        assert step.is_scan and not step.uses_index
+        findings = scan_findings(store.db, sql)
+        assert [f.code for f in findings] == ["full-scan"]
 
     def test_full_scan_of_cold_table_is_ignored(self, store):
         assert scan_findings(store.db, "SELECT * FROM policy") == []
@@ -170,6 +181,37 @@ class TestBulkPlanAudit:
                                BulkPlan(rules=(), sql="")) == []
 
 
+class TestBodyPlanAudit:
+    @pytest.fixture()
+    def bits_db(self, store):
+        DecisionCache().ensure_schema(store.db)
+        return store.db
+
+    def test_suite_body_plans_are_clean(self, bits_db, suite):
+        translator = OptimizedSqlTranslator()
+        for level, rs in suite.items():
+            for index, rule in enumerate(rs.rules):
+                findings = audit_body_plan(
+                    bits_db, translator.compile_body(rule),
+                    where=f"{level}/body[{index}]",
+                    untrusted=plan_untrusted_strings(rs))
+                assert findings == [], (level, index)
+
+    def test_bind_arity_mismatch_detected(self, bits_db):
+        findings = audit_body_plan(bits_db, BodyPlan(
+            sql="SELECT policy_id, fired, 0 AS fresh FROM rule_fired"))
+        assert [f.code for f in findings] == ["bind-arity"]
+
+    def test_bit_read_by_scan_is_flagged(self, bits_db):
+        # Reading the bits by body id alone cannot use the key, which
+        # leads with policy_id: every stored bit would be read.
+        findings = audit_body_plan(bits_db, BodyPlan(
+            sql="SELECT policy_id, fired, 0 AS fresh FROM rule_fired "
+                "WHERE body_id = ?"))
+        assert [f.code for f in findings] == ["full-scan"]
+        assert "rule_fired" in findings[0].message
+
+
 class TestDecisionLookupAudit:
     @pytest.fixture()
     def cache_db(self, store):
@@ -231,12 +273,18 @@ class TestCorpusGate:
         report = audit_corpus(small_corpus, suite, audit_literal=False)
         assert report.ok
         # Per preference: one compiled plan + two bulk forms (full
-        # corpus and a micro-batch) + one structural XQuery plan; plus
-        # the two static cache statements audited once.
+        # corpus and a micro-batch) + one structural XQuery plan; one
+        # body plan per distinct rule body across the suite; plus the
+        # two static cache statements audited once.
+        bodies = {OptimizedSqlTranslator().compile_body(rule).sql
+                  for preference in suite.values()
+                  for rule in preference.rules}
         assert report.bulk_plans_explained == 2 * len(suite)
         assert report.structural_plans_explained == len(suite)
+        assert report.body_plans_explained == len(bodies)
         assert report.cache_lookups_explained == 2
-        assert report.statements_explained == 4 * len(suite) + 2
+        assert report.statements_explained == \
+            4 * len(suite) + len(bodies) + 2
 
     def test_unreachable_rule_surfaces_in_report(self, small_corpus,
                                                  suite):

@@ -17,6 +17,7 @@ from repro.analysis import (
 from repro.corpus.policies import fortune_corpus
 from repro.corpus.preferences import jrc_suite
 from repro.storage.database import Database
+from repro.storage.decision_cache import DecisionCache
 from repro.storage.optimized_schema import create_optimized_schema
 
 #: The decision cache as it was keyed before it was clustered by
@@ -148,6 +149,22 @@ class TestRulesFire:
         assert codes(findings) == ["unindexed-hot-predicate"]
         assert "SCAN decision_cache" in findings[0].message
 
+    def test_version_lookups_scan_policy_without_its_index(self):
+        # Without idx_policy_name_site, an install's lookup of the
+        # version it supersedes and both invalidation deletes read every
+        # policy version ever installed.
+        db = Database()
+        create_optimized_schema(db)
+        DecisionCache().ensure_schema(db)
+        db.execute("DROP INDEX idx_policy_name_site")
+        by_where = {c.where: c for c in static_contracts()}
+        for where in ("server/active-version", "cache/invalidate",
+                      "cache/bits-invalidate"):
+            findings = check_statement(db, by_where[where])
+            assert codes(findings) == ["unindexed-hot-predicate"], where
+            assert "SCAN policy" in findings[0].message
+        db.close()
+
     def test_aliased_hot_table_scan_is_flagged(self, optimized_db):
         # EXPLAIN names the step by its alias; the rule still fires.
         findings = check_statement(optimized_db, StatementContract(
@@ -169,7 +186,9 @@ class TestStaticRegistry:
         wheres = {contract.where for contract in static_contracts()}
         for expected in ("cache/lookup", "cache/insert",
                          "cache/invalidate", "cache/preference-id",
-                         "cache/preference-intern",
+                         "cache/preference-intern", "cache/body-id",
+                         "cache/body-intern", "cache/bits-insert",
+                         "cache/bits-invalidate", "server/active-version",
                          "server/check-log-insert",
                          "server/retarget-policyref",
                          "refstore/insert-meta",

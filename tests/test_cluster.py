@@ -294,9 +294,9 @@ class TestFailover:
                 (baseline.behavior, baseline.rule_index)
 
             # Installs need the primary: shard-unavailable, retryable.
-            with pytest.raises(protocol.ProtocolError) as err:
-                HttpClientAgent(fresh.base_url).install_policy(
-                    ENTRIES[0][1], site=site)
+            with HttpClientAgent(fresh.base_url) as installer, \
+                    pytest.raises(protocol.ProtocolError) as err:
+                installer.install_policy(ENTRIES[0][1], site=site)
             assert err.value.code == protocol.ERR_SHARD_UNAVAILABLE
             # The router advertises the cluster's install back-off.
             assert err.value.retry_after == 7.0

@@ -4,10 +4,11 @@ Three layers of proof that the cache never serves a wrong decision:
 
 * unit tests over :class:`DecisionCache` (hit/miss/negative rows, the
   version-guarded lookup, install-time invalidation, forward migration);
-* a hypothesis state machine interleaving installs, registrations and
-  corpus matches on a live :class:`PolicyServer`, checking every served
-  decision against the native APPEL engine — the cache is invisible
-  except in the counters;
+* a hypothesis state machine interleaving installs, rollbacks,
+  registrations and corpus matches on a live :class:`PolicyServer`,
+  checking every served decision against the native APPEL engine — the
+  cache and the rule bits it is decided from are invisible except in
+  the counters;
 * chaos: a crash mid-populate must leave *no* partial rows after
   recovery (population is one transaction), and a faulting cache write
   must never fail the check it would have accelerated.
@@ -69,7 +70,7 @@ CREATE TABLE decision_cache (
 
 _NAMES = ("alpha", "beta")
 _RETENTIONS = ("no-retention", "stated-purpose", "indefinitely")
-_LEVELS = ("Very High", "Low")
+_LEVELS = ("Very High", "Medium", "Low")
 
 
 def _policy(name: str, retention: str) -> Policy:
@@ -443,8 +444,9 @@ class TestChaos:
 
         recovered = Database(path)
         try:
-            assert recovered.scalar(
-                "SELECT COUNT(*) FROM decision_cache") == 0
+            for table in ("decision_cache", "rule_fired", "rule_body"):
+                assert recovered.scalar(
+                    f"SELECT COUNT(*) FROM {table}") == 0, table
             assert recovered.scalar(
                 "SELECT COUNT(*) FROM policy") == 6
         finally:
@@ -483,9 +485,10 @@ class TestChaos:
 
 
 class DecisionCacheMachine(RuleBasedStateMachine):
-    """Installs, registrations and matches in random order: every
-    decision the server returns — cached or computed — must equal the
-    native APPEL engine's verdict on the currently active version."""
+    """Installs, rollbacks, registrations and matches in random order:
+    every decision the server returns — cached, decided from stored rule
+    bits, or evaluated — must equal the native APPEL engine's verdict on
+    the currently active version."""
 
     def __init__(self):
         super().__init__()
@@ -493,19 +496,35 @@ class DecisionCacheMachine(RuleBasedStateMachine):
         self.native = AppelEngine()
         self.suite = {level: jrc_suite()[level] for level in _LEVELS}
         self.model: dict[str, Policy] = {}
+        self.installed: dict[int, Policy] = {}
+        self.installs: dict[str, int] = {}
 
     @rule(name=st.sampled_from(_NAMES),
           retention=st.sampled_from(_RETENTIONS))
     def install(self, name, retention):
         policy = _policy(name, retention)
-        self.server.install_policy(policy)
+        report = self.server.install_policy(policy)
         self.model[name] = policy
+        self.installed[report.policy_id] = policy
+        self.installs[name] = self.installs.get(name, 0) + 1
+
+    @precondition(lambda self: any(n > 1 for n in self.installs.values()))
+    @rule(data=st.data())
+    def rollback(self, data):
+        # Re-activates a version whose decisions and bits its
+        # successor's install deleted.
+        name = data.draw(st.sampled_from(sorted(
+            name for name, count in self.installs.items() if count > 1)))
+        with self.server.pool.write():
+            policy_id = self.server.versions.rollback(name)
+        self.model[name] = self.installed[policy_id]
 
     @precondition(lambda self: self.model)
     @rule(level=st.sampled_from(_LEVELS))
     def register(self, level):
         cached = self.server.register_preference(self.suite[level])
         assert cached == len(self.model)
+        assert self.server.match_all(self.suite[level]).cache_misses == 0
 
     @precondition(lambda self: self.model)
     @rule(level=st.sampled_from(_LEVELS))

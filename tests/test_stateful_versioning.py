@@ -106,3 +106,22 @@ VersionStoreMachine.TestCase.settings = settings(
     max_examples=15, stateful_step_count=12, deadline=None,
 )
 TestVersionStoreMachine = VersionStoreMachine.TestCase
+
+
+def test_repeated_version_numbers_keep_install_order():
+    """An install after a rollback repeats a version number; history
+    and rollback must order the tie by install, not by however the
+    planner happens to read the (name, site, active) index."""
+    store = VersionedPolicyStore()
+    for retention in ("no-retention", "stated-purpose"):
+        store.install(_policy("alpha", retention))
+    store.rollback("alpha")
+    third = store.install(_policy("alpha", "indefinitely")).policy_id
+    assert [v.version for v in store.history("alpha")] == [1, 2, 2]
+    assert store.history("alpha")[-1].policy_id == third
+    # The second rollback finds the newest install already inactive
+    # and leaves the same version active.
+    for _ in range(2):
+        store.rollback("alpha")
+        assert store.active_policy("alpha").statements[0].retention == \
+            "stated-purpose"
