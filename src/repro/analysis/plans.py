@@ -257,26 +257,22 @@ def audit_bulk_plan(db: Database, plan: BulkPlan,
 
     A bulk plan deliberately enumerates every applicable policy, so a
     scan of the ``policy`` table is expected; the hot shredded tables
-    must still be probed through their indexes per policy.  For a
-    micro-batch plan the EXPLAIN probe binds synthetic ids — the plan
-    SQLite picks does not depend on the bound values.
+    must still be probed through their indexes per policy.  It binds
+    nothing, so a ``?`` in its SQL is a bind-arity error.
     """
     findings: list[Finding] = []
     placeholders = strip_quoted(plan.sql).count("?")
-    if placeholders != plan.parameter_count:
+    if placeholders:
         findings.append(Finding(
             "error", "bind-arity",
-            f"bulk plan declares {plan.parameter_count} parameter(s) "
-            f"({plan.batch_size} batch id(s) per rule) but its SQL "
-            f"carries {placeholders} '?' placeholder(s): execute() "
-            "would mis-bind",
+            f"bulk plan takes no parameters but its SQL carries "
+            f"{placeholders} '?' placeholder(s): execute() would "
+            "mis-bind",
             where=where,
         ))
         return findings  # the EXPLAIN probe below could not bind either
     if plan.rules:
-        probe_ids = tuple(range(1, plan.batch_size + 1))
-        findings.extend(scan_findings(
-            db, plan.sql, plan.parameters(probe_ids), where))
+        findings.extend(scan_findings(db, plan.sql, (), where))
     findings.extend(taint_findings(plan.sql, untrusted, where))
     return findings
 
@@ -454,14 +450,11 @@ def audit_corpus(policies: Sequence[Policy],
         plans += 1
         statements += 1
 
-        for batch_size in (0, 2):
-            bulk = translator.compile_bulk(ruleset, batch_size)
-            findings.extend(audit_bulk_plan(
-                audit_db, bulk,
-                where=f"{name}/bulk[batch={batch_size}]",
-                untrusted=untrusted))
-            bulk_plans += 1
-            statements += 1
+        bulk = translator.compile_bulk(ruleset)
+        findings.extend(audit_bulk_plan(
+            audit_db, bulk, where=f"{name}/bulk", untrusted=untrusted))
+        bulk_plans += 1
+        statements += 1
 
         for index, rule in enumerate(ruleset.rules):
             body = translator.compile_body(rule)

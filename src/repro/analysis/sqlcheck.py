@@ -410,14 +410,10 @@ def engine_contracts(policies: Sequence[Policy],
             probe=plan.parameters(1) if plan.rules else (),
             hot_tables=HOT_TABLES))
 
-        for batch_size in (0, 2):
-            bulk = translator.compile_bulk(ruleset, batch_size)
-            probe_ids = tuple(range(1, batch_size + 1))
-            contracts.append(StatementContract(
-                where=f"{name}/bulk[batch={batch_size}]", sql=bulk.sql,
-                binds=bulk.parameter_count,
-                probe=bulk.parameters(probe_ids) if bulk.rules else (),
-                hot_tables=HOT_TABLES))
+        bulk = translator.compile_bulk(ruleset)
+        contracts.append(StatementContract(
+            where=f"{name}/bulk", sql=bulk.sql, binds=0,
+            hot_tables=HOT_TABLES))
 
         for index, rule in enumerate(ruleset.rules):
             body = translator.compile_body(rule)

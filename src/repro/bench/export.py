@@ -328,11 +328,8 @@ def structural_results(seed: int = 2003,
                                                 repeat=repeat)
     speedups = harness.structural_speedups(rows)
     sql_gap = harness.structural_sql_gap(rows)
-    medium = next(
-        (row for row in rows
-         if row.level == "Medium" and row.engine == "xquery-structural"),
-        None,
-    )
+    medium = {(row.level, row.engine): row
+              for row in rows}.get(("Medium", "xquery-structural"))
     return {
         "meta": {
             "seed": seed,

@@ -263,20 +263,18 @@ class EngineSummary:
 
 def figure20(samples: list[MatchSample]) -> list[EngineSummary]:
     """E4: aggregate the grid into the Figure 20 rows."""
-    engines = sorted({s.engine for s in samples})
+    by_engine: dict[str, list[MatchSample]] = {}
+    for sample in samples:
+        by_engine.setdefault(sample.engine, []).append(sample)
     rows: list[EngineSummary] = []
-    for engine in engines:
-        ok = [s for s in samples if s.engine == engine and not s.failed]
-        failed = [s for s in samples if s.engine == engine and s.failed]
-        rows.append(
-            EngineSummary(
-                engine=engine,
-                convert=Aggregate.of([s.convert_seconds for s in ok]),
-                query=Aggregate.of([s.query_seconds for s in ok]),
-                total=Aggregate.of([s.total_seconds for s in ok]),
-                failures=len(failed),
-            )
-        )
+    for engine, runs in sorted(by_engine.items()):
+        ok = [s for s in runs if not s.failed]
+        rows.append(EngineSummary(
+            engine=engine,
+            convert=Aggregate.of([s.convert_seconds for s in ok]),
+            query=Aggregate.of([s.query_seconds for s in ok]),
+            total=Aggregate.of([s.total_seconds for s in ok]),
+            failures=len(runs) - len(ok)))
     return rows
 
 
@@ -305,7 +303,7 @@ def figure21(samples: list[MatchSample]) -> list[LevelSummary]:
     for level in levels:
         for engine in engines:
             cell = [s for s in samples
-                    if s.level == level and s.engine == engine]
+                    if (s.level, s.engine) == (level, engine)]
             ok = [s for s in cell if not s.failed]
             rows.append(
                 LevelSummary(

@@ -382,7 +382,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.net.httpd import P3PHttpServer
     from repro.server.policy_server import PolicyServer
 
-    policy_server = PolicyServer(args.db, engine=args.engine)
+    policy_server = PolicyServer(args.db)
     server_class = AsyncP3PServer if args.async_frontend else P3PHttpServer
     httpd = server_class(policy_server, (args.host, args.port),
                          max_inflight=args.max_inflight,
@@ -391,8 +391,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     host, port = httpd.host, httpd.port
     frontend = "async" if args.async_frontend else "threaded"
     print(f"p3pdb: serving on http://{host}:{port} "
-          f"(db={args.db or ':memory:'}, engine={args.engine}, "
-          f"frontend={frontend}, "
+          f"(db={args.db or ':memory:'}, frontend={frontend}, "
           f"max-inflight={args.max_inflight}); Ctrl-C to stop")
     if args.ready_file:
         Path(args.ready_file).write_text(f"{host} {port}\n",
@@ -697,12 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--port", type=int, default=8080,
                          help="port to bind; 0 picks an ephemeral port "
                               "(default 8080)")
-    p_serve.add_argument("--engine", default="sql",
-                         choices=("sql", "structural"),
-                         help="per-check plan compiler: the optimized-"
-                              "schema SQL plans (default) or the "
-                              "structural XQuery compiler against a "
-                              "generic-schema sidecar")
     p_serve.add_argument("--async", action="store_true",
                          dest="async_frontend",
                          help="serve through the asyncio front end with "

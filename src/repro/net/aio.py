@@ -1,4 +1,4 @@
-"""The asyncio front end: one event loop, many connections, batched plans.
+"""The asyncio front end: one event loop, many connections, batched checks.
 
 The threaded front end (:mod:`repro.net.httpd`) spends a thread per
 connection and executes one compiled plan per ``/v1/check``.  This
@@ -14,16 +14,14 @@ module carries the paper's set-at-a-time idea across *connections*:
   threads → bounded pooled readers), so ten thousand idle keep-alive
   connections cost file descriptors, not thread stacks.
 * :class:`BatchingExecutor` — concurrent ``check()`` requests for the
-  same ``(preference hash, cookie)`` key are serviced together: one
-  reader resolves every request's applicable policy, consults the
-  materialized decision cache, and repairs all misses with a single
-  ``policy_id IN (...)`` micro-batch
-  (:meth:`PolicyServer.translate_bulk` over
-  ``batched_policy_source``), writing the repaired rows back
-  best-effort.  Results are split back to their waiting requests, and
-  every request is logged through the idempotent check-log writer with
-  its own ``check_key`` — retries that land in different batches still
-  log at most once.
+  same ``(preference hash, cookie)`` key are coalesced into one
+  micro-batch, which :meth:`PolicyServer.check_requests` — the routine
+  behind every threaded check too — decides on one reader: each
+  distinct applicable policy is probed in the decision cache and, on a
+  miss, decided once by the preference's compiled plan.  Results are split
+  back to their waiting requests, and every request is logged through
+  the idempotent check-log writer with its own ``check_key`` — retries
+  that land in different batches still log at most once.
 
 Batching is self-clocked, not timed.  A check whose key has no batch
 executing is dispatched at once; checks that arrive while one executes
@@ -38,7 +36,7 @@ Failures are isolated per request where they belong to one request: a
 check whose reference resolution raises fails alone, with the exception
 the threaded front end would raise (so the request core maps it to the
 same status and code), and the rest of its batch is decided and logged.
-A failure that belongs to no single request — the bulk plan, the
+A failure that belongs to no single request — the compiled plan, the
 decision cache — fails every waiter of the batch.
 
 ``GET /metrics`` serves the same document as the threaded front end
@@ -53,7 +51,6 @@ import asyncio
 import logging
 import socket
 import threading
-import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -62,11 +59,7 @@ from typing import Any, Callable
 from repro.appel.model import Ruleset
 from repro.net import framing, protocol
 from repro.net.httpd import PolicyService
-from repro.server.policy_server import (
-    POLICY_VERSION_SQL,
-    CheckResult,
-    PolicyServer,
-)
+from repro.server.policy_server import CheckResult, PolicyServer
 
 logger = logging.getLogger(__name__)
 
@@ -77,25 +70,6 @@ __all__ = ["AsyncP3PServer", "BatchingExecutor", "serve_async"]
 EXECUTOR_THREADS = 4
 #: Preferences the ``batching.by_preference`` depth map remembers.
 PREFERENCE_DEPTHS = 32
-#: Cache misses are repaired with batched bulk plans of at most this
-#: many policy ids per statement — bounded bind arity (ids × rules)
-#: regardless of corpus size, and at most a handful of distinct batch
-#: shapes in the translation cache.
-MATCH_BATCH_SIZE = 64
-
-
-def _bucket(size: int) -> int:
-    """The micro-batch shape for *size* distinct policy ids.
-
-    Rounded up to a power of two so a preference compiles at most
-    ``log2(MATCH_BATCH_SIZE)`` bulk-plan shapes instead of one per
-    observed batch depth — the id list is padded by repeating the last
-    id, which is harmless under ``policy_id IN (...)``.
-    """
-    shape = 1
-    while shape < size:
-        shape *= 2
-    return min(shape, MATCH_BATCH_SIZE)
 
 
 @dataclass
@@ -109,7 +83,8 @@ class _Batch:
 
 
 class BatchingExecutor:
-    """Coalesces concurrent same-preference checks into one bulk plan.
+    """Coalesces concurrent same-preference checks into one decision
+    pass (:meth:`PolicyServer.check_requests`).
 
     Self-clocked: a key with no batch executing dispatches a check at
     once, and checks arriving while one executes wait for it to return
@@ -237,95 +212,13 @@ class BatchingExecutor:
     # -- execution (executor thread) ------------------------------------------
 
     def _execute(self, batch: _Batch) -> list[CheckResult | Exception]:
-        """Decide every request in *batch* with one reader and (at
-        most) one micro-batch statement per :func:`_bucket` chunk.
-
-        The decision logic is exactly :meth:`PolicyServer.check`
-        factored over a set: reference lookup per request, decision-
-        cache probe per distinct policy, one ``policy_id IN (...)``
-        bulk execution for the misses, best-effort write-back, and one
-        idempotent log append per request.  ``elapsed_seconds`` is the
-        batch's wall time — the latency every coalesced waiter actually
-        paid.
-
-        Returns one outcome per request, in order: its result, or the
-        exception its reference lookup raised (that request is neither
-        decided nor logged, as on the threaded path).  Anything else
-        that raises fails the whole batch.
-        """
-        server = self.policy_server
-        start = time.perf_counter()
-        key = PolicyServer._preference_hash(batch.preference)
-        resolved: list[int | None | Exception] = []
-        decided: dict[int, tuple[str | None, int | None]] = {}
-        write_back: list[tuple] = []
-        with server.pool.read() as db:
-            for site, uri, _, _ in batch.items:
-                try:
-                    resolved.append(server.references.applicable_policy_id(
-                        site, uri, cookie=batch.cookie, db=db))
-                except Exception as exc:  # noqa: BLE001 — this request's failure
-                    resolved.append(exc)
-            distinct = list(dict.fromkeys(
-                pid for pid in resolved
-                if pid is not None and not isinstance(pid, Exception)))
-            missing: list[int] = []
-            for policy_id in distinct:
-                cached = (server.decisions.lookup(db, key, policy_id)
-                          if server.cache_decisions else None)
-                if cached is not None:
-                    decided[policy_id] = cached
-                else:
-                    missing.append(policy_id)
-            for offset in range(0, len(missing), MATCH_BATCH_SIZE):
-                chunk = missing[offset:offset + MATCH_BATCH_SIZE]
-                shape = _bucket(len(chunk))
-                padded = tuple(chunk) + (chunk[-1],) * (shape - len(chunk))
-                plan = server.translate_bulk(batch.preference,
-                                             batch_size=shape)
-                fired = plan.execute(db, padded)
-                point_plan = None
-                for policy_id in chunk:
-                    if policy_id in fired:
-                        decided[policy_id] = fired[policy_id]
-                        continue
-                    # The bulk plan's policy source is ``active = 1``,
-                    # so an install racing this batch can deactivate a
-                    # policy between the reference lookup above and the
-                    # bulk execute.  The point plan has no active filter
-                    # (version rows persist), so it decides exactly what
-                    # the threaded front end's per-request check would
-                    # have served — and still returns (None, None) for a
-                    # policy no rule genuinely fires against.
-                    if point_plan is None:
-                        point_plan = server.translate(batch.preference)
-                    decided[policy_id] = point_plan.execute(db, policy_id)
-            if missing and server.cache_decisions:
-                for policy_id in missing:
-                    version = db.scalar(POLICY_VERSION_SQL, (policy_id,))
-                    if version is not None:
-                        behavior, rule_index = decided[policy_id]
-                        write_back.append((key, int(policy_id),
-                                           int(version), behavior,
-                                           rule_index))
-        if write_back:
-            server._store_decisions(write_back, best_effort=True)
-        elapsed = time.perf_counter() - start
-        outcomes: list[CheckResult | Exception] = []
-        for (site, uri, check_key, _), policy_id in zip(batch.items,
-                                                        resolved):
-            if isinstance(policy_id, Exception):
-                outcomes.append(policy_id)
-                continue
-            behavior, rule_index = (decided.get(policy_id, (None, None))
-                                    if policy_id is not None
-                                    else (None, None))
-            result = CheckResult(site=site, uri=uri, policy_id=policy_id,
-                                 behavior=behavior, rule_index=rule_index,
-                                 elapsed_seconds=elapsed)
-            server._log(result, batch.preference, check_key)
-            outcomes.append(result)
-        return outcomes
+        """Decide *batch* on this executor thread: one outcome per
+        request, in order (see :meth:`PolicyServer.check_requests`)."""
+        return self.policy_server.check_requests(
+            batch.preference,
+            [(site, uri, check_key) for site, uri, check_key, _
+             in batch.items],
+            batch.cookie)
 
     # -- introspection (event loop) -------------------------------------------
 

@@ -70,7 +70,8 @@ from repro.errors import ReproError
 from repro.net import framing, protocol
 from repro.net.admission import AdmissionController
 from repro.p3p.parser import parse_policy
-from repro.server.policy_server import CheckResult, PolicyServer
+from repro.server.policy_server import (CheckResult, PolicyServer,
+                                        preference_hash)
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +111,7 @@ class PreferenceRegistry:
         user's agent deserves service while the operator sees why
         checks keep returning the catch-all behavior.
         """
-        digest = PolicyServer._preference_hash(preference)
+        digest = preference_hash(preference)
         with self._lock:
             created = digest not in self._entries
             self._entries[digest] = preference
@@ -547,8 +548,7 @@ class PolicyService(RequestCore):
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """The ``GET /metrics`` document: one schema for both front ends."""
-        # "translation_cache" is the compiled-plan cache: keyed by
-        # preference hash alone, one entry serves every installed policy.
+        # "translation_cache": one compiled plan per preference or rule body.
         cache = self.policy_server._translation_cache
         log = self.policy_server.log
         pool_stats = self.policy_server.pool.stats()
@@ -598,9 +598,8 @@ class PolicyService(RequestCore):
                 "plans_audited": pool_stats.plans_audited,
                 "findings": pool_stats.audit_findings,
             },
-            # The materialized decision cache behind check() and
-            # /v1/match: hit rate, populate/invalidate volume, and
-            # best-effort write-back failures.
+            # The decision cache behind every check and /v1/match: hit
+            # rate, populate/invalidate volume, write-back failures.
             "decision_cache": self.policy_server.decisions.snapshot(),
         }
         for extension in self.metrics_extensions:

@@ -21,8 +21,8 @@ Design choices straight from Section 4.2:
   client-centric architecture cannot provide ("Site owners can refine
   their policies if they know what policies have a conflict with the
   privacy preferences of their users");
-* policies are installed through the versioned store, so policy evolution
-  is an UPDATE, not a file push.
+* policies are installed (and rolled back) through the versioned store,
+  so policy evolution is an UPDATE, not a file push.
 
 Serving-scale additions beyond the paper:
 
@@ -39,6 +39,11 @@ Serving-scale additions beyond the paper:
   **not** once per check.  Readers of ``check_log`` (analytics, tests)
   should call :meth:`PolicyServer.flush_log` first; ``check_count``
   flushes automatically.
+* every check is decided by one routine over a set of requests of one
+  preference, :meth:`PolicyServer.check_requests`: ``check()`` passes
+  it one request, the async front end a coalesced micro-batch, and a
+  miss in the decision cache runs the compiled plan once per distinct
+  policy;
 * :meth:`PolicyServer.serve_many` fans a batch of checks across worker
   threads and flushes the log once at the end (in a ``finally``, so
   completed checks are durable even when the batch fails);
@@ -62,7 +67,6 @@ Serving-scale additions beyond the paper:
 
 from __future__ import annotations
 
-import contextlib
 import datetime
 import hashlib
 import logging
@@ -76,9 +80,7 @@ from typing import Iterable, Sequence
 
 from repro.analysis.plans import (
     audit_body_plan,
-    audit_bulk_plan,
     audit_compiled_plan,
-    audit_structural_plan,
     plan_untrusted_strings,
 )
 from repro.appel.model import Rule, Ruleset
@@ -88,22 +90,12 @@ from repro.p3p.model import Policy
 from repro.p3p.reference import ReferenceFile, parse_reference_file
 from repro.storage.database import Database
 from repro.storage.decision_cache import DecisionCache, decision_rows
-from repro.storage.generic_schema import create_structural_indexes
-from repro.storage.generic_shredder import GenericPolicyStore
 from repro.storage.pool import ConnectionPool
-from repro.storage.reconstruct import reconstruct_policy
 from repro.storage.refstore import ReferenceStore
 from repro.storage.shredder import PolicyStore, ShredReport
 from repro.storage.versioning import VersionedPolicyStore
 from repro.translate.appel_to_sql import OptimizedSqlTranslator
-from repro.translate.plan import (
-    BodyPlan,
-    BulkPlan,
-    CompiledPlan,
-    TranslationCache,
-)
-from repro.xquery.structural import StructuralPlan
-from repro.xquery.structural import compile_ruleset as compile_structural
+from repro.translate.plan import BodyPlan, CompiledPlan, TranslationCache
 
 __all__ = [
     "CheckLogWriter",
@@ -168,9 +160,13 @@ def _migrate_check_log(db: Database) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _ruleset_hash(preference: Ruleset) -> str:
-    """SHA-256 of the canonical serialization (cached: serializing the
-    whole ruleset per check would dominate a cache-hit check)."""
+def preference_hash(preference: Ruleset) -> str:
+    """SHA-256 of the canonical serialization: the key a preference's
+    compiled plan, cached decisions and check-log rows are filed under.
+
+    Cached, but a cached lookup still hashes the frozen ruleset tree,
+    so a check or a batch computes it once and passes it along.
+    """
     text = serialize_ruleset(preference, indent=False)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -400,22 +396,11 @@ class PolicyServer:
     in-memory server.  A pre-built :class:`ConnectionPool` can be passed
     instead via *pool*.
 
-    *engine* selects the plan compiler serving the per-check miss path:
-    ``"sql"`` (the default — the paper's optimized-schema compiled
-    plans) or ``"structural"``, which matches through the structural
-    XQuery compiler against a generic-schema (Figure 8) sidecar.  The
-    sidecar lives in its own in-memory database because the generic
-    node tables share names with the optimized tables (``statement``,
-    ``purpose``...) and cannot coexist in one file; installed policies
-    are shredded into both, and a policy that pre-dates the sidecar (a
-    server opened on an existing file) is reconstructed from the
-    optimized store on first check.  Set-at-a-time paths
-    (:meth:`register_preference`, :meth:`match_all`) decide from the
-    SQL rule bits for either engine — the structural compiler has no
-    set-at-a-time form yet.
+    A check runs one plan shape, the preference's
+    :class:`~repro.translate.plan.CompiledPlan`; the set-at-a-time
+    paths (:meth:`register_preference`, :meth:`match_all`) run one
+    :class:`~repro.translate.plan.BodyPlan` per distinct rule body.
     """
-
-    ENGINES = ("sql", "structural")
 
     def __init__(self, db: Database | str | None = None, *,
                  pool: ConnectionPool | None = None,
@@ -424,12 +409,7 @@ class PolicyServer:
                  log_flush_interval: float = 1.0,
                  audit_plans: bool = False,
                  cache_decisions: bool = True,
-                 log_checks: bool = True,
-                 engine: str = "sql"):
-        if engine not in self.ENGINES:
-            raise ValueError(
-                f"unknown engine {engine!r}: expected one of "
-                f"{', '.join(self.ENGINES)}")
+                 log_checks: bool = True):
         if pool is None:
             pool = ConnectionPool(db if db is not None else ":memory:")
         self.pool = pool
@@ -464,18 +444,6 @@ class PolicyServer:
                                   flush_interval=log_flush_interval)
         # Reader connections need the reference store's SQL functions.
         self.pool.add_connect_hook(self.references.register_sql_functions)
-        self.engine = engine
-        if engine == "structural":
-            # One in-memory sidecar connection shared by every checking
-            # thread: structural plan executions serialize on this lock
-            # (the read itself is an indexed point probe — the compiled
-            # SQL plan, not the connection, is the paper's fast path
-            # here).
-            self._structural_store = GenericPolicyStore(Database())
-            self._structural_db = self._structural_store.db
-            create_structural_indexes(self._structural_db)
-            self._structural_ids: dict[int, int] = {}
-            self._structural_lock = threading.Lock()
 
     # -- installation (Figure 5) ------------------------------------------------
 
@@ -491,41 +459,53 @@ class PolicyServer:
         with self.pool.write() as db, db.transaction():
             if policy.name is not None:
                 report = self.versions.install(policy, site=site)
-                # Retarget only this site's reference rows — other sites
-                # may use the same policy name for their own, unrelated
-                # policies.  The name is escaped so LIKE metacharacters
-                # in a policy name (%, _) match literally instead of
-                # retargeting unrelated references.
-                escaped = (policy.name.replace("\\", "\\\\")
-                           .replace("%", "\\%").replace("_", "\\_"))
-                db.execute(
-                    RETARGET_POLICYREF_SQL,
-                    (report.policy_id, f"#{policy.name}",
-                     f"%#{escaped}", site),
-                )
-                # Incremental decision-cache invalidation: only the
-                # superseded (now inactive) versions of this name lose
-                # their cached decisions, in the same transaction as
-                # the install — an observer never sees the new version
-                # active with the old version's decisions still
-                # serveable through it.  (The new policy_id has no rows
-                # yet, so its first check/match recomputes.)
-                self.decisions.invalidate_inactive(db, policy.name, site)
+                self._activate(db, policy.name, site, report.policy_id)
             else:
                 report = self.policies.install_policy(policy, site=site)
-        if self.engine == "structural" and not self.db.in_transaction:
-            # Mirrored once committed; an install inside an enclosing
-            # transaction (install_with_reference) could still roll
-            # back, so its first structural check reconstructs it.
-            with self._structural_lock:
-                self._structural_ids[report.policy_id] = (
-                    self._structural_store.install_policy(policy))
         # No plan-cache invalidation: compiled plans are policy-
         # independent (the policy id is a bind parameter), so a
         # superseded version only changes what the reference lookup
         # resolves to — the cached plan executes unchanged against the
         # new id.
         return report
+
+    def rollback_policy(self, name: str, site: str | None = None) -> int:
+        """Re-activate the previous version of (*name*, *site*); returns
+        its policy id.
+
+        The version flip, the retarget of *site*'s reference rows and
+        the cache invalidation are one transaction, as for an install,
+        so the next check resolves to the re-activated version and no
+        decision of the rolled-back one stays serveable.  Other sites'
+        policies of the same name are left alone.
+        """
+        with self.pool.write() as db, db.transaction():
+            policy_id = self.versions.rollback(name, site=site)
+            self._activate(db, name, site, policy_id)
+        return policy_id
+
+    def _activate(self, db: Database, name: str, site: str | None,
+                  policy_id: int) -> None:
+        """Point (*name*, *site*)'s reference rows at *policy_id*, the
+        version just made active, and drop what the now inactive
+        versions had cached.  Runs inside the caller's write
+        transaction."""
+        # Retarget only this site's reference rows — other sites may
+        # use the same policy name for their own, unrelated policies.
+        # The name is escaped so LIKE metacharacters in a policy name
+        # (%, _) match literally instead of retargeting unrelated
+        # references.
+        escaped = (name.replace("\\", "\\\\")
+                   .replace("%", "\\%").replace("_", "\\_"))
+        db.execute(RETARGET_POLICYREF_SQL,
+                   (policy_id, f"#{name}", f"%#{escaped}", site))
+        # Incremental decision-cache invalidation: only the inactive
+        # versions of this name lose their cached decisions and bits,
+        # in the caller's transaction — an observer never sees the new
+        # version active with an old version's decisions still
+        # serveable through it.  (The active policy_id may have no rows,
+        # so its first check/match recomputes.)
+        self.decisions.invalidate_inactive(db, name, site)
 
     def install_reference_file(self, reference: ReferenceFile | str,
                                site: str) -> int:
@@ -565,58 +545,87 @@ class PolicyServer:
         entry goes through the buffered writer.  *check_key*, when
         given, makes the log append idempotent: a retried check with
         the same key evaluates again (reads are harmless) but is
-        logged at most once.
+        logged at most once.  :meth:`check_requests` over one request.
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
+        outcome, = self.check_requests(preference,
+                                       [(site, uri, check_key)], cookie)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
+    def check_requests(self, preference: Ruleset,
+                       requests: Sequence[tuple[str, str, str | None]],
+                       cookie: bool = False
+                       ) -> list[CheckResult | Exception]:
+        """Decide ``(site, uri, check_key)`` *requests* for one
+        preference: :meth:`check` passes one, the async front end a
+        coalesced micro-batch.
+
+        One reader resolves every request's applicable policy and
+        probes the decision cache once per distinct policy; each
+        distinct policy it misses runs the cached :class:`CompiledPlan`
+        once, and its decision is written back best-effort, guarded by
+        the version read beside it.  Every decided request is logged
+        once, idempotently on its ``check_key``.  ``elapsed_seconds``
+        is the wall time of the call — what each request waited.
+
+        Returns one outcome per request, in order: its result, or the
+        exception its reference resolution raised (that request is
+        neither decided nor logged).  Anything else that raises fails
+        the call.
+        """
         start = time.perf_counter()
-        behavior: str | None = None
-        rule_index: int | None = None
-        key = _ruleset_hash(preference)
-        write_back: tuple | None = None
+        key = preference_hash(preference)
+        resolved: list[int | None | Exception] = []
+        decided: dict[int, tuple[str | None, int | None]] = {}
+        write_back: list[tuple] = []
         with self.pool.read() as db:
-            policy_id = self.references.applicable_policy_id(
-                site, uri, cookie=cookie, db=db
-            )
-            if policy_id is not None:
-                # Fast path: the materialized decision, if any version-
-                # guarded row exists (a registered preference, or any
-                # earlier check against this policy version).
+            for site, uri, _ in requests:
+                try:
+                    resolved.append(self.references.applicable_policy_id(
+                        site, uri, cookie=cookie, db=db))
+                except Exception as exc:  # noqa: BLE001 — fails one request
+                    resolved.append(exc)
+            plan: CompiledPlan | None = None
+            for policy_id in resolved:
+                if (policy_id is None or isinstance(policy_id, Exception)
+                        or policy_id in decided):
+                    continue
+                # The materialized decision, if any version-guarded row
+                # exists (a registered preference, or an earlier check
+                # against this policy version).
                 cached = (self.decisions.lookup(db, key, policy_id)
                           if self.cache_decisions else None)
                 if cached is not None:
-                    behavior, rule_index = cached
-                else:
-                    if self.engine == "structural":
-                        behavior, rule_index = self._structural_check(
-                            preference, int(policy_id), db)
-                    else:
-                        plan = self.translate(preference)
-                        behavior, rule_index = plan.execute(db, policy_id)
-                    if self.cache_decisions:
-                        version = db.scalar(POLICY_VERSION_SQL,
-                                            (policy_id,))
-                        if version is not None:
-                            write_back = (key, int(policy_id),
-                                          int(version), behavior,
-                                          rule_index)
-        if write_back is not None:
+                    decided[policy_id] = cached
+                    continue
+                if plan is None:
+                    plan = self._compiled_plan(preference, key)
+                decided[policy_id] = plan.execute(db, policy_id)
+                if self.cache_decisions:
+                    version = db.scalar(POLICY_VERSION_SQL, (policy_id,))
+                    if version is not None:
+                        write_back.append((key, int(policy_id), int(version),
+                                           *decided[policy_id]))
+        if write_back:
             # Best-effort: a failed cache write must never fail the
-            # check it would have accelerated.
-            self._store_decisions([write_back], best_effort=True)
+            # checks it would have accelerated.
+            self._store_decisions(write_back, best_effort=True)
         elapsed = time.perf_counter() - start
-
-        result = CheckResult(
-            site=site,
-            uri=uri,
-            policy_id=policy_id,
-            behavior=behavior,
-            rule_index=rule_index,
-            elapsed_seconds=elapsed,
-        )
-        self._log(result, preference, check_key)
-        return result
+        outcomes: list[CheckResult | Exception] = []
+        for (site, uri, check_key), policy_id in zip(requests, resolved):
+            if isinstance(policy_id, Exception):
+                outcomes.append(policy_id)
+                continue
+            behavior, rule_index = decided.get(policy_id, (None, None))
+            result = CheckResult(site=site, uri=uri, policy_id=policy_id,
+                                 behavior=behavior, rule_index=rule_index,
+                                 elapsed_seconds=elapsed)
+            self._log(result, key, check_key)
+            outcomes.append(result)
+        return outcomes
 
     def serve_many(self, requests: Iterable[Sequence],
                    threads: int = 4,
@@ -667,7 +676,7 @@ class PolicyServer:
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
-        key = _ruleset_hash(preference)
+        key = preference_hash(preference)
         with self.pool.write() as db:
             with db.transaction():
                 actives = [(int(row["policy_id"]), int(row["version"]))
@@ -695,7 +704,7 @@ class PolicyServer:
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
-        key = _ruleset_hash(preference)
+        key = preference_hash(preference)
         start = time.perf_counter()
         for _attempt in range(MATCH_RACE_RETRIES + 1):
             fired: dict[int, tuple] = {}
@@ -800,25 +809,6 @@ class PolicyServer:
             self._translation_cache.put(key, plan)
         return plan
 
-    def translate_bulk(self, preference: Ruleset,
-                       batch_size: int = 0) -> BulkPlan:
-        """The cached bulk plan for *preference* (full corpus, or a
-        ``batch_size``-id micro-batch shape).
-
-        Shares the translation cache with :meth:`translate` under a
-        distinct key; like compiled plans, bulk plans embed no policy
-        id, so installs invalidate nothing here.
-        """
-        key = (_ruleset_hash(preference), "bulk", batch_size)
-        plan = self._translation_cache.get(key)
-        if plan is None:
-            plan = self.translator.compile_bulk(preference, batch_size)
-            if self.audit_plans:
-                self._audit(audit_bulk_plan, plan, f"bulk:{key[0][:12]}",
-                            plan_untrusted_strings(preference))
-            self._translation_cache.put(key, plan)
-        return plan
-
     def _store_decisions(self, rows: list[tuple],
                          best_effort: bool = False,
                          bits: Sequence[tuple] = ()) -> int:
@@ -849,7 +839,10 @@ class PolicyServer:
         applicable policy id at execution time, so one compilation
         serves every policy the server will ever check it against.
         """
-        key = _ruleset_hash(preference)
+        return self._compiled_plan(preference, preference_hash(preference))
+
+    def _compiled_plan(self, preference: Ruleset, key: str) -> CompiledPlan:
+        """:meth:`translate` with the preference hash already known."""
         plan = self._translation_cache.get(key)
         if plan is None:
             plan = self.translator.compile_ruleset(preference)
@@ -859,69 +852,27 @@ class PolicyServer:
             self._translation_cache.put(key, plan)
         return plan
 
-    def translate_structural(self, preference: Ruleset) -> StructuralPlan:
-        """The cached structural XQuery plan for *preference*.
-
-        Shares the translation cache with :meth:`translate` under a
-        distinct key; structural plans bind the (sidecar) policy id at
-        execution, so installs invalidate nothing here either.
-        """
-        key = (_ruleset_hash(preference), "structural")
-        plan = self._translation_cache.get(key)
-        if plan is None:
-            plan = compile_structural(preference)
-            if self.audit_plans:
-                self._audit(audit_structural_plan, plan,
-                            f"structural:{key[0][:12]}",
-                            plan_untrusted_strings(preference),
-                            db=self._structural_db)
-            self._translation_cache.put(key, plan)
-        return plan
-
-    def _structural_check(self, preference: Ruleset, policy_id: int,
-                          db: Database) -> tuple[str | None, int | None]:
-        """Execute the structural plan against the generic sidecar.
-
-        *policy_id* is the optimized store's id; the sidecar handle is
-        looked up (or, for a policy installed before this server
-        process existed, reconstructed from *db* — the caller's pooled
-        reader — and shredded on first use).
-        """
-        plan = self.translate_structural(preference)
-        with self._structural_lock:
-            handle = self._structural_ids.get(policy_id)
-            if handle is None:
-                policy = reconstruct_policy(db, policy_id)
-                handle = self._structural_store.install_policy(policy)
-                self._structural_ids[policy_id] = handle
-            return plan.execute(self._structural_db, handle)
-
-    def _audit(self, audit, plan, where: str, untrusted: list[str],
-               db: Database | None = None) -> None:
+    def _audit(self, audit, plan, where: str,
+               untrusted: list[str]) -> None:
         """EXPLAIN-audit a freshly compiled plan (flag-gated).
 
         Findings never reject the plan — a full scan is slow, not
         wrong — but they are logged and counted on the connection's
         stats, which the pool aggregates into ``/metrics``.  Runs once
         per compilation (cache misses only), so the audit cost is paid
-        with the translation cost, not per check.  Structural plans
-        pass *db*, the sidecar: the only database carrying the generic
-        node tables and their structural indexes.
+        with the translation cost, not per check.
         """
-        with (self.pool.read() if db is None
-              else contextlib.nullcontext(db)) as conn:
+        with self.pool.read() as conn:
             findings = audit(conn, plan, where=where, untrusted=untrusted)
             conn.stats.record_audit(len(findings))
         self.last_audit_findings = tuple(findings)
         for finding in findings:
             logger.warning("plan audit: %s", finding)
 
-    @staticmethod
-    def _preference_hash(preference: Ruleset) -> str:
-        return _ruleset_hash(preference)
-
-    def _log(self, result: CheckResult, preference: Ruleset,
+    def _log(self, result: CheckResult, key: str,
              check_key: str | None = None) -> None:
+        """Buffer *result*'s check-log row; *key* is the preference
+        hash the caller already computed."""
         if not self.log_checks:
             return
         self.log.append(
@@ -931,7 +882,7 @@ class PolicyServer:
                 result.policy_id,
                 result.behavior,
                 result.rule_index,
-                _ruleset_hash(preference),
+                key,
                 result.elapsed_seconds,
                 datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 check_key,
@@ -959,8 +910,6 @@ class PolicyServer:
         """Flush the check log and close every pooled connection."""
         self.log.close()
         self.pool.close()
-        if self.engine == "structural":
-            self._structural_db.close()
 
     def __enter__(self) -> "PolicyServer":
         return self

@@ -120,25 +120,23 @@ class VersionedPolicyStore:
             )
         return reconstruct_policy(self.db, policy_id)
 
-    def rollback(self, name: str) -> int:
-        """Deactivate the newest version, reactivating its predecessor.
-
-        Returns the policy id that became active.  Raises StorageError when
-        there is no predecessor to roll back to.
+    def rollback(self, name: str, site: str | None = None) -> int:
+        """Deactivate the newest version of (*name*, *site*) — that chain
+        only, as in :meth:`install` — and reactivate its predecessor in
+        :meth:`history` order; returns the predecessor's policy id.
+        Raises StorageError when there is no predecessor.
         """
-        versions = self.history(name)
-        if not versions:
+        newest_first = [row["policy_id"] for row in self.db.query(
+            "SELECT policy_id FROM policy WHERE name = ? AND site IS ? "
+            "ORDER BY version DESC, policy_id DESC LIMIT 2", (name, site))]
+        if not newest_first:
             raise UnknownPolicyError(f"no policy named {name!r}")
-        if len(versions) < 2:
+        if len(newest_first) < 2:
             raise StorageError(f"policy {name!r} has no prior version")
-        newest, previous = versions[-1], versions[-2]
+        newest, previous = newest_first
         with self.db.transaction():
-            self.db.execute(
-                "UPDATE policy SET active = 0 WHERE policy_id = ?",
-                (newest.policy_id,),
-            )
-            self.db.execute(
-                "UPDATE policy SET active = 1 WHERE policy_id = ?",
-                (previous.policy_id,),
-            )
-        return previous.policy_id
+            for active, policy_id in ((0, newest), (1, previous)):
+                self.db.execute(
+                    "UPDATE policy SET active = ? WHERE policy_id = ?",
+                    (active, policy_id))
+        return previous

@@ -48,7 +48,6 @@ from repro.translate.plan import (
     BulkPlan,
     CompiledPlan,
     PlanRule,
-    batched_policy_source,
     body_statement,
     combine_bulk_rules,
     combine_rules,
@@ -109,8 +108,8 @@ def _rule_header(behavior: str, applicable_policy_sql: str,
     the column :func:`~repro.translate.plan.combine_rules` orders the
     UNION ALL members by.  With *project_policy_id* it also carries the
     applicable policy's id, which the bulk form's window function
-    partitions by (the ApplicablePolicy relation is then many rows —
-    the whole corpus or a micro-batch — not a single id).
+    partitions by (the ApplicablePolicy relation is then the whole
+    corpus, not a single id).
     """
     parts: list[str] = []
     if project_policy_id:
@@ -141,20 +140,16 @@ def _compile_ruleset(translator, ruleset: Ruleset) -> CompiledPlan:
     return CompiledPlan(rules=rules, sql=combine_rules(rules))
 
 
-def _compile_bulk(translator, ruleset: Ruleset,
-                  batch_size: int = 0) -> BulkPlan:
+def _compile_bulk(translator, ruleset: Ruleset) -> BulkPlan:
     """Shared set-at-a-time compile: one statement, every policy at once.
 
     The ApplicablePolicy relation is the translator's
     ``BULK_POLICY_SOURCE`` (all installed — for the optimized schema,
-    all *active* — policies); with ``batch_size > 0`` it is narrowed to
-    a ``policy_id IN (?, ...)`` micro-batch.  Each rule member projects
-    the policy id so :func:`~repro.translate.plan.combine_bulk_rules`
-    can pick the first firing rule per policy.
+    all *active* — policies).  Each rule member projects the policy id
+    so :func:`~repro.translate.plan.combine_bulk_rules` can pick the
+    first firing rule per policy.
     """
     source = translator.BULK_POLICY_SOURCE
-    if batch_size:
-        source = batched_policy_source(source, batch_size)
     rules = tuple(
         PlanRule(
             behavior=rule.behavior,
@@ -164,8 +159,7 @@ def _compile_bulk(translator, ruleset: Ruleset,
         )
         for index, rule in enumerate(ruleset.rules)
     )
-    return BulkPlan(rules=rules, sql=combine_bulk_rules(rules),
-                    batch_size=batch_size)
+    return BulkPlan(rules=rules, sql=combine_bulk_rules(rules))
 
 
 def _root_clauses(rule: Rule, match_top) -> str:
@@ -193,11 +187,9 @@ class GenericSqlTranslator:
         """Compile once: parameterized policy id, one query per check."""
         return _compile_ruleset(self, ruleset)
 
-    def compile_bulk(self, ruleset: Ruleset,
-                     batch_size: int = 0) -> BulkPlan:
-        """Compile set-at-a-time: every policy (or a micro-batch) in
-        one statement."""
-        return _compile_bulk(self, ruleset, batch_size)
+    def compile_bulk(self, ruleset: Ruleset) -> BulkPlan:
+        """Compile set-at-a-time: every policy in one statement."""
+        return _compile_bulk(self, ruleset)
 
     def translate_ruleset(self, ruleset: Ruleset,
                           applicable_policy_sql: str) -> TranslatedRuleset:
@@ -322,11 +314,10 @@ class OptimizedSqlTranslator:
         """Compile once: parameterized policy id, one query per check."""
         return _compile_ruleset(self, ruleset)
 
-    def compile_bulk(self, ruleset: Ruleset,
-                     batch_size: int = 0) -> BulkPlan:
-        """Compile set-at-a-time: every active policy (or a
-        micro-batch) in one statement."""
-        return _compile_bulk(self, ruleset, batch_size)
+    def compile_bulk(self, ruleset: Ruleset) -> BulkPlan:
+        """Compile set-at-a-time: every active policy in one
+        statement."""
+        return _compile_bulk(self, ruleset)
 
     def compile_body(self, rule: Rule) -> BodyPlan:
         """Compile *rule*'s body against the stored bits of every

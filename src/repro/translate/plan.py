@@ -26,8 +26,6 @@ relation becomes *every installed policy*, so one statement returns
 wins per policy is expressed with a window function —
 ``MIN(rule_index) OVER (PARTITION BY policy_id)`` — instead of
 ``ORDER BY rule_index LIMIT 1``, which only works for a single policy.
-A batched variant (``batch_size > 0``) narrows the same statement to a
-``policy_id IN (?, ...)`` micro-batch for the serving tier.
 
 A :class:`BodyPlan` is the unit preferences share: one rule *body*
 (its connective and expressions, without behavior or position) compiled
@@ -135,43 +133,19 @@ class BulkPlan:
     matching policy — the first rule that fires for each, selected via
     ``MIN(rule_index) OVER (PARTITION BY policy_id)``.  Policies no
     rule fires against produce no row; :meth:`execute` returns a dict,
-    so absence is observable.
-
-    ``batch_size == 0`` is the full-corpus form: zero bind parameters,
-    every installed (active) policy evaluated in one round trip.
-    ``batch_size == n`` is the micro-batch form: each rule member
-    embeds a ``policy_id IN (?, ...)`` restriction of *n* placeholders,
-    so the statement takes ``n × rules`` parameters (the same ids
-    repeated per member, like :meth:`CompiledPlan.parameters`).
+    so absence is observable.  The statement takes no bind parameters:
+    every installed (active) policy is evaluated in one round trip.
     """
 
     rules: tuple[PlanRule, ...]
     sql: str
-    batch_size: int = 0
 
-    @property
-    def parameter_count(self) -> int:
-        """Bind parameters the statement takes (batch ids × rules)."""
-        return self.batch_size * len(self.rules)
-
-    def parameters(self, policy_ids: tuple[int, ...] = ()
-                   ) -> tuple[int, ...]:
-        """The bind tuple for one micro-batch (ids repeated per rule)."""
-        ids = tuple(int(policy_id) for policy_id in policy_ids)
-        if len(ids) != self.batch_size:
-            raise ValueError(
-                f"bulk plan compiled for a batch of {self.batch_size} "
-                f"policy id(s), got {len(ids)}"
-            )
-        return ids * len(self.rules)
-
-    def execute(self, db: Database, policy_ids: tuple[int, ...] = ()
-                ) -> dict[int, tuple[str, int]]:
+    def execute(self, db: Database) -> dict[int, tuple[str, int]]:
         """One round trip: ``{policy_id: (behavior, rule_index)}`` for
         every policy a rule fired against (others are absent)."""
         if not self.rules:
             return {}
-        rows = db.query(self.sql, self.parameters(policy_ids))
+        rows = db.query(self.sql)
         return {
             int(row["policy_id"]): (row["behavior"],
                                     int(row["rule_index"]))
@@ -247,18 +221,6 @@ def body_statement(source: str, clause: str) -> str:
         "       ON bit.policy_id = applicable_policy.policy_id\n"
         "      AND bit.body_id = (SELECT body_id FROM rule_body\n"
         "                         WHERE body_hash = ?)"
-    )
-
-
-def batched_policy_source(source: str, batch_size: int) -> str:
-    """Restrict an all-policies ApplicablePolicy *source* to a
-    ``? IN (...)`` micro-batch of *batch_size* placeholders."""
-    if batch_size < 1:
-        raise ValueError("a micro-batch needs at least one policy id")
-    marks = ", ".join("?" * batch_size)
-    return (
-        "SELECT policy_id FROM (\n" + source + "\n)\n"
-        f"WHERE policy_id IN ({marks})"
     )
 
 

@@ -161,17 +161,18 @@ class TestBulkPlanAudit:
     def test_suite_bulk_plans_are_clean(self, store, suite):
         translator = OptimizedSqlTranslator()
         for level, rs in suite.items():
-            for batch_size in (0, 2):
-                plan = translator.compile_bulk(rs, batch_size=batch_size)
-                findings = audit_bulk_plan(
-                    store.db, plan, where=f"{level}/bulk[{batch_size}]",
-                    untrusted=plan_untrusted_strings(rs))
-                assert findings == [], (level, batch_size)
+            plan = translator.compile_bulk(rs)
+            findings = audit_bulk_plan(
+                store.db, plan, where=f"{level}/bulk",
+                untrusted=plan_untrusted_strings(rs))
+            assert findings == [], level
 
     def test_bind_arity_mismatch_detected(self, store, suite):
-        plan = OptimizedSqlTranslator().compile_bulk(suite["Low"],
-                                                     batch_size=2)
-        doctored = BulkPlan(rules=plan.rules, sql=plan.sql, batch_size=3)
+        """A bulk plan binds nothing: a stray ``?`` would mis-bind."""
+        plan = OptimizedSqlTranslator().compile_bulk(suite["Low"])
+        doctored = BulkPlan(rules=plan.rules,
+                            sql=plan.sql.replace("active = 1",
+                                                 "active = ?"))
         findings = audit_bulk_plan(store.db, doctored)
         assert [f.code for f in findings] == ["bind-arity"]
         assert findings[0].severity == "error"
@@ -272,19 +273,19 @@ class TestCorpusGate:
                                                  suite):
         report = audit_corpus(small_corpus, suite, audit_literal=False)
         assert report.ok
-        # Per preference: one compiled plan + two bulk forms (full
-        # corpus and a micro-batch) + one structural XQuery plan; one
-        # body plan per distinct rule body across the suite; plus the
-        # two static cache statements audited once.
+        # Per preference: one compiled plan + one full-corpus bulk plan
+        # + one structural XQuery plan; one body plan per distinct rule
+        # body across the suite; plus the two static cache statements
+        # audited once.
         bodies = {OptimizedSqlTranslator().compile_body(rule).sql
                   for preference in suite.values()
                   for rule in preference.rules}
-        assert report.bulk_plans_explained == 2 * len(suite)
+        assert report.bulk_plans_explained == len(suite)
         assert report.structural_plans_explained == len(suite)
         assert report.body_plans_explained == len(bodies)
         assert report.cache_lookups_explained == 2
         assert report.statements_explained == \
-            4 * len(suite) + len(bodies) + 2
+            3 * len(suite) + len(bodies) + 2
 
     def test_unreachable_rule_surfaces_in_report(self, small_corpus,
                                                  suite):

@@ -8,7 +8,7 @@ preference) decision across the full corpus x all five JRC levels:
   rule — :func:`evaluate_ruleset`),
 * the per-policy compiled plan (:meth:`CompiledPlan.execute`),
 * the bulk plan (:meth:`BulkPlan.execute`) — the whole corpus in one
-  statement, plus its ``policy_id IN (...)`` micro-batch variant.
+  statement.
 """
 
 from __future__ import annotations
@@ -41,24 +41,7 @@ class TestBulkPlanShape:
         translator = OptimizedSqlTranslator()
         for preference in suite.values():
             plan = translator.compile_bulk(preference)
-            assert plan.batch_size == 0
-            assert plan.parameter_count == 0
             assert plan.sql.count("?") == 0
-
-    def test_batched_form_takes_ids_per_rule(self, suite):
-        preference = suite["High"]
-        plan = OptimizedSqlTranslator().compile_bulk(preference,
-                                                     batch_size=3)
-        assert plan.parameter_count == 3 * len(preference.rules)
-        assert plan.sql.count("?") == plan.parameter_count
-        assert plan.parameters((5, 9, 2)) == \
-            (5, 9, 2) * len(preference.rules)
-
-    def test_batched_parameters_enforce_arity(self, suite):
-        plan = OptimizedSqlTranslator().compile_bulk(suite["Low"],
-                                                     batch_size=2)
-        with pytest.raises(ValueError):
-            plan.parameters((1,))
 
     def test_first_rule_wins_via_window_function(self, suite):
         plan = OptimizedSqlTranslator().compile_bulk(suite["Low"])
@@ -102,19 +85,6 @@ class TestDifferentialFullCorpus:
                 checked += 1
         assert checked == len(corpus) * len(suite)
 
-    def test_micro_batches_cover_the_corpus(self, optimized_store, suite):
-        store, handles = optimized_store
-        translator = OptimizedSqlTranslator()
-        for preference in suite.values():
-            full = translator.compile_bulk(preference).execute(store.db)
-            chunked: dict[int, tuple] = {}
-            for offset in range(0, len(handles), 4):
-                chunk = tuple(handles[offset:offset + 4])
-                plan = translator.compile_bulk(preference,
-                                               batch_size=len(chunk))
-                chunked.update(plan.execute(store.db, chunk))
-            assert chunked == full
-
     def test_generic_schema_bulk_agrees_too(self, small_corpus, suite):
         store = GenericPolicyStore()
         handles = [store.install_policy(policy)
@@ -142,18 +112,6 @@ class TestSingleRoundTrip:
         fired = plan.execute(store.db)
         assert store.db.stats.statements == before + 1
         assert set(fired) <= set(handles)
-
-    def test_micro_batch_is_exactly_one_statement(self, optimized_store,
-                                                  suite):
-        store, handles = optimized_store
-        chunk = tuple(handles[:5])
-        plan = OptimizedSqlTranslator().compile_bulk(suite["High"],
-                                                     batch_size=len(chunk))
-        plan.execute(store.db, chunk)            # warm
-        before = store.db.stats.statements
-        fired = plan.execute(store.db, chunk)
-        assert store.db.stats.statements == before + 1
-        assert set(fired) <= set(chunk)
 
     def test_superseded_versions_produce_no_rows(self, corpus, suite):
         """The bulk source is the *active* corpus: reinstalling a name

@@ -250,6 +250,14 @@ class TestServe:
             connection.close()
         assert count == 3
 
+    def test_serve_rejects_engine_option(self, capsys):
+        """Checks run one plan shape; serve has no engine to choose."""
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["serve", "--engine", "structural"])
+        assert "--engine" in capsys.readouterr().err
+
     def test_bench_http_load_listed(self):
         from repro import cli
 

@@ -2,11 +2,11 @@
 
 The async server must be observationally identical to the threaded one
 — same decisions, same error envelopes, same check-log rows — while
-servicing concurrent same-preference checks through one micro-batched
-``BulkPlan`` round trip.  The differential tests here drive the full
-corpus × every JRC level through both front ends and diff the
-decisions; the idempotency tests retry a fixed ``check_key`` across
-batch boundaries and count log rows.
+deciding concurrent same-preference checks as one micro-batch, each
+distinct policy once.  The differential tests here drive the full
+corpus × every JRC level through both front ends (and, on the miss
+path, the native engine) and diff the decisions; the idempotency tests
+retry a fixed ``check_key`` across batch boundaries and count log rows.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from repro.corpus.volga import (
 from repro.net import protocol
 from repro.net.aio import AsyncP3PServer, BatchingExecutor, serve_async
 from repro.net.client import HttpClientAgent
+from repro.p3p.parser import parse_policy
 from repro.server.policy_server import PolicyServer
 
 from tests.test_net_httpd import raw_request
@@ -332,6 +333,121 @@ class TestDifferentialCorpus:
             assert wire.behavior == oracle.behavior, key
             assert wire.rule_index == oracle.rule_index, key
             assert wire.covered == oracle.covered, key
+
+
+class TestDifferentialMissPath:
+    """async batched ≡ threaded ≡ native over corpus × JRC levels when
+    the decisions are not cached: with the decision cache off, and after
+    installs supersede every registered decision.  (The corpus test
+    above registers first, so every async decision there is a hit.)"""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        from repro.bench.harness import cluster_corpus
+
+        return cluster_corpus(corpus_size=12)
+
+    @staticmethod
+    def _successors(corpus) -> list[tuple[str, str]]:
+        """A second version per site: the next entry's policy under
+        this site's policy name, so many decisions change."""
+        from dataclasses import replace
+
+        from repro.p3p.serializer import serialize_policy
+
+        policies = [parse_policy(xml) for _, xml, _ in corpus]
+        return [(site, serialize_policy(replace(
+                    policies[(index + 1) % len(policies)],
+                    name=policies[index].name)))
+                for index, (site, _, _) in enumerate(corpus)]
+
+    @staticmethod
+    def _drive(base_url, preference, digest, requests) -> dict:
+        def drive(chunk):
+            with HttpClientAgent(base_url, preference,
+                                 preference_hash=digest) as client:
+                return {(site, uri): client.check(site, uri)
+                        for site, uri in chunk}
+
+        observed: dict = {}
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            for result in pool.map(drive, [requests[i::6]
+                                           for i in range(6)]):
+                observed.update(result)
+        return observed
+
+    @pytest.mark.parametrize("setting", ["cache-off", "superseded"])
+    def test_async_miss_path_matches_threaded_and_native(
+            self, setting, corpus, tmp_path):
+        from repro.appel.engine import AppelEngine
+
+        suite = jrc_suite()
+        successors = (self._successors(corpus)
+                      if setting == "superseded" else [])
+        active = {site: parse_policy(xml) for site, xml, _ in corpus}
+        active.update((site, parse_policy(xml)) for site, xml in successors)
+        if successors:
+            # The installs must change decisions, or serving a stale
+            # one would go unseen.
+            native = AppelEngine()
+            assert any(
+                native.evaluate(parse_policy(xml), preference).behavior
+                != native.evaluate(active[site], preference).behavior
+                for site, xml, _ in corpus
+                for preference in suite.values())
+        requests = [(site, f"/catalog/item-{i % 4}")
+                    for i, (site, _, _) in enumerate(corpus * 2)]
+
+        policy_server = PolicyServer(
+            str(tmp_path / "miss.db"),
+            cache_decisions=setting != "cache-off")
+        server = AsyncP3PServer(policy_server, owns_policy_server=True)
+        thread = server.run_in_thread()
+        oracle = PolicyServer()
+        try:
+            _install_corpus(server.base_url, corpus)
+            for site, policy_xml, reference_xml in corpus:
+                oracle.install_policy(parse_policy(policy_xml), site=site)
+                oracle.install_reference_file(reference_xml, site)
+            digests = {}
+            for level, preference in suite.items():
+                with HttpClientAgent(server.base_url, preference) as agent:
+                    digests[level] = agent.register_preference()
+            with HttpClientAgent(server.base_url) as admin:
+                for site, policy_xml in successors:
+                    admin.install_policy(policy_xml, site=site)
+                    oracle.install_policy(parse_policy(policy_xml),
+                                          site=site)
+
+            native = AppelEngine()
+            for level, preference in suite.items():
+                observed = self._drive(server.base_url, preference,
+                                       digests[level], requests)
+                assert set(observed) == set(requests)
+                for site, uri in requests:
+                    wire = observed[(site, uri)]
+                    threaded = oracle.check(site, uri, preference)
+                    verdict = native.evaluate(active[site], preference)
+                    key = (level, site, uri)
+                    assert wire.policy_id == threaded.policy_id, key
+                    assert (wire.behavior, wire.rule_index) == \
+                        (threaded.behavior, threaded.rule_index) == \
+                        (verdict.behavior, verdict.rule_index), key
+            decisions = policy_server.decisions.snapshot()
+        finally:
+            server.close()
+            thread.join(timeout=5)
+            oracle.close()
+
+        if setting == "cache-off":
+            # No cache read at all: every decision ran the compiled plan.
+            assert decisions["hits"] == decisions["misses"] == 0
+            assert policy_server._translation_cache.misses == len(suite)
+        else:
+            # Each level's registered decisions were all superseded, so
+            # every policy is decided through the miss path at least once.
+            assert decisions["invalidated"] >= len(corpus) * len(suite)
+            assert decisions["misses"] >= len(corpus) * len(suite)
 
 
 class TestIdempotency:

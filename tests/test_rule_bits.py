@@ -26,7 +26,11 @@ from repro.appel.model import Ruleset
 from repro.appel.templates import compose_preference, template_keys
 from repro.corpus.volga import jane_preference
 from repro.p3p.model import Policy, PurposeValue, RecipientValue, Statement
-from repro.server.policy_server import PolicyServer, rule_body_hash
+from repro.server.policy_server import (
+    PolicyServer,
+    preference_hash,
+    rule_body_hash,
+)
 
 #: Catch-all behaviors a sampled preference may end with; ``None`` drops
 #: the catch-all, so some policies get no decision (a cached negative).
@@ -47,7 +51,7 @@ def _sampled_preferences(count: int, seed: int = 2003) -> list[Ruleset]:
         if catch_all is None:
             composed = Ruleset(rules=composed.rules[:-1])
         preferences.setdefault(
-            PolicyServer._preference_hash(composed), composed)
+            preference_hash(composed), composed)
     return list(preferences.values())
 
 

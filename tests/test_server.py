@@ -3,6 +3,7 @@
 import pytest
 
 from repro.corpus.volga import VOLGA_REFERENCE_XML
+from repro.errors import StorageError, UnknownPolicyError
 from repro.p3p.parser import parse_policy
 from repro.p3p.reference import parse_reference_file
 from repro.server import (
@@ -148,6 +149,62 @@ class TestPolicyServer:
     def test_cookie_check(self, server, jane):
         result = server.check(SITE, "/anything", jane, cookie=True)
         assert result.covered
+
+
+class TestRollback:
+    """A rollback walks one site's version chain and retargets that
+    site's references, in one transaction, as an install does."""
+
+    A, B = "a.example.com", "b.example.com"
+
+    def _two_sites(self, volga):
+        """Sites a and b each install 'volga'; a then installs a v2 that
+        blocks Jane.  Returns the server and each site's v1 id."""
+        from repro.corpus.volga import VOLGA_POLICY_NO_OPTIN_XML
+
+        server = PolicyServer()
+        first = {}
+        for host in (self.A, self.B):
+            first[host] = server.install_policy(volga, site=host).policy_id
+            server.install_reference_file(
+                VOLGA_REFERENCE_XML.replace("volga.example.com", host),
+                host)
+        server.install_policy(parse_policy(VOLGA_POLICY_NO_OPTIN_XML),
+                              site=self.A)
+        return server, first
+
+    def test_rollback_is_scoped_to_one_site(self, volga, jane):
+        server, first = self._two_sites(volga)
+        with server:
+            v2 = server.check(self.A, "/cart", jane)
+            assert v2.behavior == "block"        # decided and cached
+
+            assert server.rollback_policy("volga", site=self.A) == \
+                first[self.A]
+
+            active = {version.policy_id for version
+                      in server.versions.history("volga")
+                      if version.active}
+            assert active == set(first.values())
+            result = server.check(self.A, "/cart", jane)
+            assert result.policy_id == first[self.A]
+            assert result.behavior == "request"
+            assert server.check(self.B, "/cart", jane).policy_id == \
+                first[self.B]
+            with server.pool.read() as db:
+                assert db.scalar(
+                    "SELECT COUNT(*) FROM decision_cache "
+                    "WHERE policy_id = ?", (v2.policy_id,)) == 0
+
+    def test_store_rollback_leaves_other_sites_chains(self, volga):
+        server, first = self._two_sites(volga)
+        with server, server.pool.write():
+            assert server.versions.rollback("volga", site=self.A) == \
+                first[self.A]
+            with pytest.raises(StorageError, match="no prior version"):
+                server.versions.rollback("volga", site=self.B)
+            with pytest.raises(UnknownPolicyError):
+                server.versions.rollback("volga")     # no site-less chain
 
 
 class TestAnalytics:

@@ -8,7 +8,11 @@ from repro.corpus.volga import (
     jane_preference,
     volga_policy,
 )
-from repro.server.policy_server import PolicyServer, TranslationCache
+from repro.server.policy_server import (
+    PolicyServer,
+    TranslationCache,
+    preference_hash,
+)
 
 SITE = "volga.example.com"
 
@@ -114,7 +118,7 @@ class TestServerCache:
         jane = jane_preference()
         server.check(SITE, "/catalog/book", jane)
         assert server._translation_cache.keys() == \
-            [PolicyServer._preference_hash(jane)]
+            [preference_hash(jane)]
 
     def test_plan_reused_across_distinct_policy_ids(self, server):
         """One compilation serves every installed policy: checks against
