@@ -419,10 +419,11 @@ class ClusterRouter(RequestCore, ThreadedTransport):
                     "message": f"{type(exc).__name__}: {exc}",
                 }
                 continue
-            for entry in response.get("results", []):
-                entry = dict(entry)
+            # The decoded response is this call's own: tag in place.
+            results = response.get("results", [])
+            for entry in results:
                 entry["shard"] = shard
-                merged.append(entry)
+            merged.extend(results)
             cache_hits += int(response.get("cache_hits", 0))
             cache_misses += int(response.get("cache_misses", 0))
             elapsed = max(elapsed,

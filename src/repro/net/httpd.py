@@ -728,19 +728,15 @@ class PolicyService(RequestCore):
         result = await self.run(
             lambda: self.policy_server.match_all(preference))
         self.net_metrics.checks(len(result.decisions))
-        return json_response(200, protocol.MatchCorpusResponse(
-            results=tuple(protocol.MatchCorpusEntry(
-                policy_id=decision.policy_id,
-                name=decision.name,
-                version=decision.version,
-                behavior=decision.behavior,
-                rule_index=decision.rule_index,
-                cached=decision.cached,
-            ) for decision in result.decisions),
-            cache_hits=result.cache_hits,
-            cache_misses=result.cache_misses,
-            elapsed_seconds=result.elapsed_seconds,
-        ).to_wire())
+        # MatchCorpusResponse's document, no entry object per decision.
+        return json_response(200, {
+            "v": protocol.PROTOCOL_VERSION,
+            "results": [protocol.match_entry_wire(*decision)
+                        for decision in result.decisions],
+            "cache_hits": result.cache_hits,
+            "cache_misses": result.cache_misses,
+            "elapsed_seconds": result.elapsed_seconds,
+        })
 
     async def _install_policy(self, body: bytes, query: dict,
                               headers: Mapping[str, str]) -> Response:

@@ -41,7 +41,7 @@ envelope uniformly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.errors import ReproError
@@ -454,9 +454,22 @@ class MatchCorpusRequest:
         return cls(preference_hash=_field(payload, "preference_hash", str))
 
 
+def match_entry_wire(policy_id: int, name: str | None, version: int,
+                     behavior: str | None, rule_index: int | None,
+                     cached: bool) -> dict[str, Any]:
+    """One policy's entry in a ``/v1/match`` document: the six keys a
+    server writes.  The arguments come in the field order of the
+    server's ``MatchDecision``, so a server encodes its records as
+    ``match_entry_wire(*decision)`` with no object in between."""
+    return {"policy_id": policy_id, "name": name, "version": version,
+            "behavior": behavior, "rule_index": rule_index,
+            "cached": cached}
+
+
 @dataclass(frozen=True)
 class MatchCorpusEntry:
-    """One policy's decision within a corpus match."""
+    """One policy's decision within a corpus match.  ``shard`` names
+    the shard that answered, on an entry merged by the cluster router."""
 
     policy_id: int
     name: str | None
@@ -464,6 +477,7 @@ class MatchCorpusEntry:
     behavior: str | None
     rule_index: int | None
     cached: bool
+    shard: int | None = None
 
     @property
     def decision(self) -> tuple:
@@ -471,14 +485,12 @@ class MatchCorpusEntry:
         return (self.policy_id, self.behavior, self.rule_index)
 
     def to_wire(self) -> dict[str, Any]:
-        return {
-            "policy_id": self.policy_id,
-            "name": self.name,
-            "version": self.version,
-            "behavior": self.behavior,
-            "rule_index": self.rule_index,
-            "cached": self.cached,
-        }
+        wire = match_entry_wire(self.policy_id, self.name, self.version,
+                                self.behavior, self.rule_index,
+                                self.cached)
+        if self.shard is not None:
+            wire["shard"] = self.shard
+        return wire
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]) -> "MatchCorpusEntry":
@@ -490,26 +502,42 @@ class MatchCorpusEntry:
             rule_index=_field(payload, "rule_index", int, required=False),
             cached=_field(payload, "cached", bool,
                           required=False, default=False),
+            shard=_field(payload, "shard", int, required=False),
         )
 
 
 @dataclass(frozen=True)
 class MatchCorpusResponse:
-    """Every active policy's decision, ordered by policy id."""
+    """Every active policy's decision: ordered by policy id from one
+    server, by (name, shard, policy id) from the cluster router.
+
+    A router whose shards did not all answer sets ``partial`` and names
+    each missing shard, by id, in ``shard_errors`` (its error code and
+    message), so a caller can tell a smaller corpus from a partial one.
+    """
 
     results: tuple[MatchCorpusEntry, ...]
     cache_hits: int
     cache_misses: int
     elapsed_seconds: float
+    partial: bool = False
+    shard_errors: Mapping[int, ErrorEnvelope] = field(default_factory=dict)
 
     def to_wire(self) -> dict[str, Any]:
-        return {
+        wire: dict[str, Any] = {
             "v": PROTOCOL_VERSION,
             "results": [entry.to_wire() for entry in self.results],
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
             "elapsed_seconds": self.elapsed_seconds,
         }
+        if self.partial:
+            wire["partial"] = True
+        if self.shard_errors:
+            wire["shard_errors"] = {
+                str(shard): {"code": error.code, "message": error.message}
+                for shard, error in self.shard_errors.items()}
+        return wire
 
     @classmethod
     def from_wire(cls, payload: Mapping[str, Any]
@@ -521,6 +549,16 @@ class MatchCorpusResponse:
                 raise ProtocolError(ERR_BAD_REQUEST,
                                     f"results[{index}] must be an object")
             results.append(MatchCorpusEntry.from_wire(entry))
+        shard_errors: dict[int, ErrorEnvelope] = {}
+        raw_errors = _field(payload, "shard_errors", dict, required=False)
+        for shard, error in (raw_errors or {}).items():
+            if not shard.isdecimal() or not isinstance(error, dict):
+                raise ProtocolError(
+                    ERR_BAD_REQUEST,
+                    f"shard_errors[{shard!r}] must map a shard id to an "
+                    "object with code/message")
+            shard_errors[int(shard)] = ErrorEnvelope.from_wire(
+                {"error": error})
         return cls(
             results=tuple(results),
             cache_hits=_field(payload, "cache_hits", int,
@@ -530,6 +568,9 @@ class MatchCorpusResponse:
             elapsed_seconds=_field(payload, "elapsed_seconds",
                                    (int, float), required=False,
                                    default=0.0),
+            partial=_field(payload, "partial", bool,
+                           required=False, default=False),
+            shard_errors=shard_errors,
         )
 
 

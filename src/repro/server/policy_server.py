@@ -76,7 +76,7 @@ from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.analysis.plans import (
     audit_body_plan,
@@ -357,9 +357,10 @@ class CheckResult:
         return self.policy_id is not None
 
 
-@dataclass(frozen=True)
-class MatchDecision:
-    """One policy's decision within a corpus match."""
+class MatchDecision(NamedTuple):
+    """One policy's decision within a corpus match: a tuple filled by
+    position, in ``MATCH_SQL``'s column order, and the one record an
+    entry is built as on its way from the SQL row to the wire."""
 
     policy_id: int
     name: str | None
@@ -711,9 +712,9 @@ class PolicyServer:
             stale: set[int] = set()
             fresh: list[tuple] = []
             with self.pool.read() as db:
+                # Read by position, in MatchDecision's field order.
                 rows = self.decisions.match_rows(db, key)
-                missing = [(int(row["policy_id"]), int(row["version"]))
-                           for row in rows if not row["cached"]]
+                missing = [(row[0], row[2]) for row in rows if not row[5]]
                 if missing:
                     rule_bits, fresh = self._read_bits(db, preference)
                     # Reads here are not one snapshot: an install
@@ -730,35 +731,22 @@ class PolicyServer:
         else:
             # Installs kept racing every re-read: serve without the
             # superseded versions rather than retry unboundedly.
-            rows = [row for row in rows
-                    if int(row["policy_id"]) not in stale]
-            missing = [(policy_id, version)
-                       for policy_id, version in missing
-                       if policy_id not in stale]
+            rows = [row for row in rows if row[0] not in stale]
+            missing = [pair for pair in missing if pair[0] not in stale]
         self.decisions.record_hits(len(rows) - len(missing),
                                    len(missing))
         if missing and self.cache_decisions:
             self._store_decisions(decision_rows(key, missing, fired),
                                   best_effort=True, bits=fresh)
-        decisions: list[MatchDecision] = []
-        for row in rows:
-            policy_id = int(row["policy_id"])
-            if row["cached"]:
-                behavior = row["behavior"]
-                rule_index = (int(row["rule_index"])
-                              if row["rule_index"] is not None else None)
-            else:
-                behavior, rule_index = fired.get(policy_id, (None, None))
-            decisions.append(MatchDecision(
-                policy_id=policy_id,
-                name=row["name"],
-                version=int(row["version"]),
-                behavior=behavior,
-                rule_index=rule_index,
-                cached=bool(row["cached"]),
-            ))
+        decisions = tuple(
+            MatchDecision(policy_id, name, version, behavior, rule_index,
+                          True) if cached else
+            MatchDecision(policy_id, name, version,
+                          *fired.get(policy_id, (None, None)), False)
+            for policy_id, name, version, behavior, rule_index, cached
+            in rows)
         return MatchAllResult(
-            decisions=tuple(decisions),
+            decisions=decisions,
             cache_hits=len(rows) - len(missing),
             cache_misses=len(missing),
             elapsed_seconds=time.perf_counter() - start,

@@ -144,7 +144,8 @@ class DecisionCache:
 
     #: The warm corpus match: every active policy LEFT JOINed to its
     #: cached decision in one statement.  ``cached = 0`` rows are the
-    #: misses the caller must compute (and may write back).
+    #: misses the caller must compute (and may write back).  The caller
+    #: reads the columns by position, in this order.
     MATCH_SQL = (
         "SELECT policy.policy_id AS policy_id,\n"
         "       policy.name AS name,\n"

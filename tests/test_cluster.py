@@ -406,6 +406,33 @@ class TestPartialMatch:
                     client.match_corpus()
                 assert err.value.code == protocol.ERR_SHARD_UNAVAILABLE
 
+    def test_http_agent_sees_a_partial_corpus(self):
+        """``HttpClientAgent.match_corpus()`` keeps what the router says
+        about a partial corpus — ``partial``, ``shard_errors`` and each
+        entry's ``shard`` — so a plain agent can tell, too."""
+        with P3PCluster(shards=2, replicas=0,
+                        in_process=True).start() as cluster:
+            with ClusterClient(cluster.base_url, JANE) as admin:
+                install_entries(admin)
+            with HttpClientAgent(cluster.base_url,
+                                 jane_preference()) as agent:
+                complete = agent.match_corpus()
+                dead = cluster.owner_shard(ENTRIES[0][0])
+                cluster.kill_primary(dead)
+                merged = agent.match_corpus()
+
+        assert complete.partial is False
+        assert complete.shard_errors == {}
+        assert {entry.shard for entry in complete.results} == {0, 1}
+        assert len(complete.results) == len(ENTRIES)
+
+        assert merged.partial is True
+        assert set(merged.shard_errors) == {dead}
+        assert merged.shard_errors[dead].code == \
+            protocol.ERR_SHARD_UNAVAILABLE
+        assert merged.results
+        assert {entry.shard for entry in merged.results} == {1 - dead}
+
 
 class TestRouterClose:
     def test_close_leaves_no_backend_agent_open(self, monkeypatch):

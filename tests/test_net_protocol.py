@@ -95,6 +95,36 @@ class TestRoundTrips:
         ))
         assert roundtrip(message) == message
 
+    def test_match_corpus_response(self):
+        entry = protocol.MatchCorpusEntry(
+            policy_id=3, name="acme", version=2, behavior="request",
+            rule_index=1, cached=True)
+        message = protocol.MatchCorpusResponse(
+            results=(entry,), cache_hits=1, cache_misses=0,
+            elapsed_seconds=0.01)
+        wire = message.to_wire()
+        # A single server's document: none of the router's fields.
+        assert set(wire) == {"v", "results", "cache_hits", "cache_misses",
+                             "elapsed_seconds"}
+        assert set(wire["results"][0]) == {"policy_id", "name", "version",
+                                           "behavior", "rule_index",
+                                           "cached"}
+        assert roundtrip(message) == message
+
+    def test_partial_match_corpus_response(self):
+        message = protocol.MatchCorpusResponse(
+            results=(protocol.MatchCorpusEntry(
+                policy_id=3, name="acme", version=1, behavior=None,
+                rule_index=None, cached=False, shard=0),),
+            cache_hits=0, cache_misses=1, elapsed_seconds=0.0,
+            partial=True,
+            shard_errors={1: protocol.ErrorEnvelope(
+                code=protocol.ERR_SHARD_UNAVAILABLE, message="down")})
+        assert message.to_wire()["shard_errors"] == {
+            "1": {"code": protocol.ERR_SHARD_UNAVAILABLE,
+                  "message": "down"}}
+        assert roundtrip(message) == message
+
     def test_install_policy_request(self):
         message = protocol.InstallPolicyRequest(
             policy="<POLICY/>", site="s", reference_file="<META/>")
@@ -175,6 +205,23 @@ class TestMalformedBodies:
         with pytest.raises(protocol.ProtocolError) as excinfo:
             protocol.BatchCheckRequest.from_wire(
                 {"v": 1, "preference_hash": "h", "checks": checks})
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+
+    @pytest.mark.parametrize("shard_errors", [
+        ["1"], {"one": {"code": "c", "message": "m"}}, {"1": "down"},
+        {"1": {"code": "c"}}])
+    def test_shard_errors_must_name_shards(self, shard_errors):
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.MatchCorpusResponse.from_wire(
+                {"v": 1, "results": [], "partial": True,
+                 "shard_errors": shard_errors})
+        assert excinfo.value.code == protocol.ERR_BAD_REQUEST
+
+    def test_match_entry_shard_must_be_int(self):
+        with pytest.raises(protocol.ProtocolError) as excinfo:
+            protocol.MatchCorpusResponse.from_wire(
+                {"v": 1, "results": [{"policy_id": 1, "version": 1,
+                                      "shard": "0"}]})
         assert excinfo.value.code == protocol.ERR_BAD_REQUEST
 
     def test_reference_file_requires_site(self):
