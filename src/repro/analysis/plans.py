@@ -282,10 +282,14 @@ def audit_body_plan(db: Database, plan: BodyPlan,
                     untrusted: Iterable[str] = ()) -> list[Finding]:
     """Audit one rule-body plan: index usage, taint, bind arity.
 
-    Like a bulk plan it enumerates every active policy, so a scan of
-    ``policy`` is expected; the stored bit and the hot shredded tables
-    must be probed by key per policy (:data:`BODY_HOT_TABLES`).  *db*
-    must carry the rule-bit tables.
+    Both statements are explained: the read form the corpus match's
+    repair runs and the fill form registration runs (its findings are
+    labelled ``<where>/fill``).  Like a bulk plan each enumerates every
+    active policy, so a scan of ``policy`` is expected; the stored bit
+    and the hot shredded tables must be probed by key per policy
+    (:data:`BODY_HOT_TABLES`).  *db* must carry the rule-bit tables.
+    The fill form wraps the read form's text, so one taint audit covers
+    both.
     """
     placeholders = strip_quoted(plan.sql).count("?")
     if placeholders != 1:
@@ -298,6 +302,9 @@ def audit_body_plan(db: Database, plan: BodyPlan,
         )]
     findings = scan_findings(db, plan.sql, ("probe",), where,
                              hot_tables=BODY_HOT_TABLES)
+    findings.extend(scan_findings(db, plan.fill_sql, ("probe", "probe"),
+                                  f"{where}/fill",
+                                  hot_tables=BODY_HOT_TABLES))
     findings.extend(taint_findings(plan.sql, untrusted, where))
     return findings
 
@@ -376,12 +383,13 @@ def audit_corpus(policies: Sequence[Policy],
     """Shred *policies* into a fresh optimized store and audit every
     preference's generated SQL against it.
 
-    For each preference: the compiled plan and its bulk forms (full
-    corpus and a two-id micro-batch) are explained once each (they are
-    policy-independent), so is each rule body's plan the first time a
-    preference brings it, and, when *audit_literal* is set, the literal
-    translation is explained against every policy id (its SQL splices
-    the id into the text, so each policy yields distinct statements).
+    For each preference: the compiled plan and its full-corpus bulk
+    plan are explained once each (they are policy-independent), so are
+    each rule body's two statements (read and fill) the first time a
+    preference brings the body, and, when *audit_literal* is set, the
+    literal translation is explained against every policy id (its SQL
+    splices the id into the text, so each policy yields distinct
+    statements).
     Reachability findings for each ruleset are differentially confirmed
     over the whole corpus — see
     :func:`repro.analysis.rules.differential_reachability`.
@@ -463,7 +471,7 @@ def audit_corpus(policies: Sequence[Policy],
                 findings.extend(audit_body_plan(
                     audit_db, body, where=f"{name}/body[{index}]",
                     untrusted=untrusted))
-                statements += 1
+                statements += 2
 
         structural = compile_structural(ruleset)
         findings.extend(audit_structural_plan(

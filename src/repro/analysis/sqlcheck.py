@@ -218,7 +218,8 @@ def check_statement(db: Database,
         aliases = table_aliases(contract.sql)
         for step in db.explain(contract.sql, probe):
             table = aliases.get(step.table, step.table)
-            if step.is_scan and table in contract.hot_tables:
+            if ((step.is_scan or step.builds_index)
+                    and table in contract.hot_tables):
                 findings.append(Finding(
                     "warning", "unindexed-hot-predicate",
                     f"planner step {step.detail!r} reads hot table "
@@ -241,7 +242,6 @@ def static_contracts() -> list[StatementContract]:
     is proved here once for every tier that shares them.
     """
     from repro.server.policy_server import (
-        ACTIVE_POLICIES_SQL,
         CHECK_COUNT_SQL,
         POLICY_VERSION_SQL,
         RETARGET_POLICYREF_SQL,
@@ -301,6 +301,25 @@ def static_contracts() -> list[StatementContract]:
             sql=DecisionCache._INVALIDATE_BITS, binds=2,
             writes=frozenset({"rule_fired"}),
             hot_tables=frozenset({"rule_fired", "policy"})),
+        # Registration: the rule list, then one statement deciding the
+        # corpus.  Per policy, its rules and their bits must be key
+        # probes, or a registration reads every stored rule or bit.
+        StatementContract(
+            where="cache/preference-intern-if-new",
+            sql=DecisionCache._INTERN_IF_NEW, binds=1,
+            writes=frozenset({"preference_key"})),
+        StatementContract(
+            where="cache/bodies-intern", sql=DecisionCache._INTERN_BODIES,
+            binds=1, probe=("[]",), writes=frozenset({"rule_body"})),
+        StatementContract(
+            where="cache/rule-insert", sql=DecisionCache._INSERT_RULE,
+            binds=4, writes=frozenset({"preference_rule"}),
+            hot_tables=frozenset({"preference_key", "rule_body"})),
+        StatementContract(
+            where="cache/decide", sql=DecisionCache.DECIDE_SQL, binds=1,
+            writes=frozenset({"decision_cache"}),
+            hot_tables=frozenset({"preference_key", "preference_rule",
+                                  "rule_fired"})),
         # An install's lookup of the version it supersedes.
         StatementContract(
             where="server/active-version", sql=ACTIVE_VERSION_SQL,
@@ -316,9 +335,6 @@ def static_contracts() -> list[StatementContract]:
         StatementContract(
             where="server/policy-version", sql=POLICY_VERSION_SQL,
             binds=1),
-        StatementContract(
-            where="server/active-policies", sql=ACTIVE_POLICIES_SQL,
-            binds=0),
         # Install path: the only statement allowed to touch policyref
         # outside reference-file shredding.
         StatementContract(
@@ -373,8 +389,8 @@ def engine_contracts(policies: Sequence[Policy],
 
     For each preference level: the literal translation per policy id
     (its SQL splices the id into the text, so each policy yields
-    distinct statements), the compiled point plan, the bulk plan (full
-    corpus and a two-id micro-batch), each rule body's plan (once per
+    distinct statements), the compiled point plan, the full-corpus
+    bulk plan, each rule body's plan and its fill form (once per
     distinct body across the levels), the per-rule XTABLE SQL, and the
     structural plan.  Returns the contracts plus how many XTABLE rules
     exceeded the *default* complexity budget (their SQL is still
@@ -422,6 +438,11 @@ def engine_contracts(policies: Sequence[Policy],
                 contracts.append(StatementContract(
                     where=f"{name}/body[{index}]", sql=body.sql,
                     binds=1, probe=("probe",),
+                    hot_tables=BODY_HOT_TABLES))
+                contracts.append(StatementContract(
+                    where=f"{name}/fill[{index}]", sql=body.fill_sql,
+                    binds=2, probe=("probe", "probe"),
+                    writes=frozenset({"rule_fired"}),
                     hot_tables=BODY_HOT_TABLES))
 
         for policy_id in policy_ids:

@@ -52,17 +52,18 @@ Serving-scale additions beyond the paper:
   uniqueness, so a *retried* check (lost response, dropped connection)
   is logged exactly once — see docs/architecture.md "Failure model".
 * decisions are **materialized**: registering a preference
-  (:meth:`PolicyServer.register_preference`) decides every active
-  policy from *rule bits* — whether each of its rule bodies fires
-  against each policy, stored in ``rule_fired`` and shared by every
-  preference containing the body — evaluating set-at-a-time only the
-  (body, policy) pairs no earlier preference settled, and stores the
-  decisions in the ``decision_cache`` table
-  (:mod:`repro.storage.decision_cache`), so a warm check — and a warm
-  corpus match (:meth:`PolicyServer.match_all`) — is an indexed point
-  lookup, no plan execution at all.  Version bumps invalidate only the
-  superseded version's rows and bits, inside the install transaction;
-  see docs/architecture.md "Materialized decision cache".
+  (:meth:`PolicyServer.register_preference`) stores its rule list in
+  ``preference_rule`` and decides every active policy from *rule bits*
+  — whether each of its rule bodies fires against each policy, stored
+  in ``rule_fired`` and shared by every preference containing the body
+  — evaluating only the (body, policy) pairs no earlier preference
+  settled, and stores the decisions in the ``decision_cache`` table
+  (:mod:`repro.storage.decision_cache`), all in set-at-a-time
+  statements, so a warm check — and a warm corpus match
+  (:meth:`PolicyServer.match_all`) — is an indexed point lookup, no
+  plan execution at all.  Version bumps invalidate only the superseded
+  version's rows and bits, inside the install transaction; see
+  docs/architecture.md "Materialized decision cache".
 """
 
 from __future__ import annotations
@@ -148,9 +149,6 @@ RETARGET_POLICYREF_SQL = (
     "  AND meta_id IN (SELECT meta_id FROM meta WHERE site IS ?)"
 )
 POLICY_VERSION_SQL = "SELECT version FROM policy WHERE policy_id = ?"
-ACTIVE_POLICIES_SQL = (
-    "SELECT policy_id, version FROM policy WHERE active = 1"
-)
 CHECK_COUNT_SQL = "SELECT COUNT(*) FROM check_log"
 
 
@@ -399,8 +397,14 @@ class PolicyServer:
 
     A check runs one plan shape, the preference's
     :class:`~repro.translate.plan.CompiledPlan`; the set-at-a-time
-    paths (:meth:`register_preference`, :meth:`match_all`) run one
-    :class:`~repro.translate.plan.BodyPlan` per distinct rule body.
+    paths run one :class:`~repro.translate.plan.BodyPlan` per distinct
+    rule body: :meth:`register_preference` its fill form, which stores
+    the missing bits inside SQLite before one statement decides the
+    corpus from the preference's ``preference_rule`` rows, and
+    :meth:`match_all`'s miss repair its read form.
+
+    ``cache_decisions=False`` is the always-execute configuration: no
+    decision, rule row or bit is stored or served.
     """
 
     def __init__(self, db: Database | str | None = None, *,
@@ -424,7 +428,8 @@ class PolicyServer:
         self.db.execute(_CHECK_LOG_KEY_INDEX)
         #: The materialized decision cache.  ``cache_decisions=False``
         #: turns the server back into the always-execute configuration
-        #: (benchmarks compare the two).
+        #: (benchmarks compare the two): registration stores nothing,
+        #: and checks and corpus matches decide every policy.
         self.cache_decisions = cache_decisions
         self.decisions = DecisionCache()
         self.decisions.ensure_schema(self.db)
@@ -663,34 +668,41 @@ class PolicyServer:
     def register_preference(self, preference: Ruleset | str) -> int:
         """Materialize the whole corpus decision for *preference*.
 
-        Each distinct rule body is read against every active policy in
-        one statement that evaluates only the pairs with no stored bit
-        (a body another preference already brought costs primary-key
-        probes, not an evaluation); the new bits and each policy's
-        decision — the lowest rule index whose body fired, negatives
-        included, so later misses are only ever *new* policies — are
-        stored in a single transaction (a crash mid-populate leaves
-        nothing, see tests/test_decision_cache.py).  The paper's
-        pay-once insight applied to the corpus: after this, every check
-        and corpus match for the preference is an indexed point lookup.
-        Returns the number of decision rows cached.
+        One transaction of set-at-a-time statements: the preference's
+        rule list goes to ``preference_rule``, each distinct rule body's
+        fill statement stores the bits no earlier preference settled (a
+        body another preference already brought evaluates nothing), and
+        one statement decides every active policy as the lowest rule
+        index whose body fired, negatives included, so later misses are
+        only ever *new* policies.  No row per policy crosses into
+        Python, and a crash mid-populate leaves nothing (see
+        tests/test_decision_cache.py).  The paper's pay-once insight
+        applied to the corpus: after this, every check and corpus match
+        for the preference is an indexed point lookup.  Returns the
+        number of decision rows cached: 0 with ``cache_decisions=False``,
+        which stores nothing.
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
+        if not self.cache_decisions:
+            return 0
         key = preference_hash(preference)
+        rules: list[tuple[str, str]] = []
+        plans: dict[str, BodyPlan] = {}
+        for rule in preference.rules:
+            body_hash = rule_body_hash(rule)
+            rules.append((body_hash, rule.behavior))
+            if body_hash not in plans:
+                plans[body_hash] = self.translate_body(rule, body_hash)
         with self.pool.write() as db:
             with db.transaction():
-                actives = [(int(row["policy_id"]), int(row["version"]))
-                           for row in db.query(ACTIVE_POLICIES_SQL)]
-                rule_bits, fresh = self._read_bits(db, preference)
-                fired, _unknown = _first_fired(
-                    preference, rule_bits,
-                    [policy_id for policy_id, _ in actives])
-                if self.cache_decisions:
-                    self.decisions.store_bits(db, fresh)
-                rows = decision_rows(key, actives, fired)
-                self.decisions.store_rows(db, rows)
-        return len(rows)
+                self.decisions.store_rules(db, key, rules)
+                evaluated = sum(plan.fill(db, body_hash)
+                                for body_hash, plan in plans.items())
+                decided = self.decisions.decide(db, key)
+        self.decisions.record_bits(evaluated,
+                                   decided * len(plans) - evaluated)
+        return decided
 
     def match_all(self, preference: Ruleset | str) -> MatchAllResult:
         """Match *preference* against every active policy.
@@ -699,9 +711,11 @@ class PolicyServer:
         statement — every active policy LEFT JOINed to its cached,
         version-guarded decision.  Cache misses (new policies, or a
         never-registered preference) are repaired from rule bits read
-        on this thread's reader, as :meth:`register_preference` decides
-        them, and the new bits and decisions are written back
-        (best-effort).
+        on this thread's reader — the lowest rule index whose body
+        fired, as :meth:`register_preference` decides them — and the
+        new bits and decisions are written back (best-effort).  With
+        ``cache_decisions=False`` no stored decision is served: every
+        active policy is decided, and nothing is written.
         """
         if isinstance(preference, str):
             preference = parse_ruleset(preference)
@@ -712,8 +726,10 @@ class PolicyServer:
             stale: set[int] = set()
             fresh: list[tuple] = []
             with self.pool.read() as db:
-                # Read by position, in MatchDecision's field order.
-                rows = self.decisions.match_rows(db, key)
+                # Read by position, in MatchDecision's field order.  A
+                # NULL hash joins no stored decision: every row misses.
+                rows = self.decisions.match_rows(
+                    db, key if self.cache_decisions else None)
                 missing = [(row[0], row[2]) for row in rows if not row[5]]
                 if missing:
                     rule_bits, fresh = self._read_bits(db, preference)
@@ -754,7 +770,8 @@ class PolicyServer:
 
     def _read_bits(self, db: Database, preference: Ruleset
                    ) -> tuple[list[BodyBits], list[tuple]]:
-        """Every active policy's bit for each rule body of *preference*:
+        """:meth:`match_all`'s repair read.  Every active policy's bit
+        for each rule body of *preference*:
         one :data:`BodyBits` per rule (rules with equal bodies share one
         read), plus the ``(body_hash, policy_id, fired)`` bits that had
         to be evaluated because none was stored.  With

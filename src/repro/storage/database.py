@@ -126,6 +126,13 @@ class ExplainStep:
                 and "CONSTANT ROW" not in self.detail)
 
     @property
+    def builds_index(self) -> bool:
+        """True for a step that probes an index SQLite builds for this
+        one statement (``USING AUTOMATIC … INDEX``): building it reads
+        every row of the table, as a scan does."""
+        return "USING AUTOMATIC" in self.detail
+
+    @property
     def uses_index(self) -> bool:
         """True for a ``SEARCH`` step that probes an index; ``USING
         PRIMARY KEY`` is the clustered key of a ``WITHOUT ROWID``
@@ -362,8 +369,15 @@ class Database:
             actions.append((action, arg1, arg2))
             return sqlite3.SQLITE_OK
 
-        self._connection.set_authorizer(authorizer)
         try:
+            # The first compile of a statement on a connection may touch
+            # the schema on SQLite's own behalf — a first use of an
+            # eponymous virtual table such as ``json_each`` registers
+            # it, which the authorizer reports as an UPDATE of
+            # sqlite_master — so only a second compile is recorded.
+            self._connection.execute("EXPLAIN " + sql,
+                                     parameters).fetchall()
+            self._connection.set_authorizer(authorizer)
             self._connection.execute("EXPLAIN " + sql,
                                      parameters).fetchall()
         except sqlite3.Error as exc:

@@ -42,9 +42,19 @@ in ``rule_body`` by a canonical hash, and ``rule_fired(policy_id,
 body_id) -> fired`` records whether it fires against a policy id.  A
 policy id's content never changes, so a bit never goes stale either; an
 install deletes the bits of the superseded versions with their
-decisions.  Registering a preference evaluates only the (body, policy)
-pairs that have no bit yet and derives each policy's decision from the
-bits: the lowest rule index whose body fired.
+decisions.
+
+**Registration is set-at-a-time SQL.**  Registering a preference writes
+its rule list to ``preference_rule(pref_id, rule_index) -> (body_id,
+behavior)``, fills each distinct body's missing bits with the body
+plan's ``INSERT … SELECT`` (only the (body, active policy) pairs that
+have no bit are evaluated), and decides every active policy with one
+``INSERT … SELECT`` (:data:`DecisionCache.DECIDE_SQL`): the lowest rule
+index whose body's bit fired, or NULLs.  The statements and the rows
+that cross into Python grow with the preference's rules, never with
+the corpus: with several shards in one interpreter, each row handed to
+Python is a GIL hand-off, so a row per policy would make a
+registration's wall time grow with the corpus.
 
 All SQL here is static text over storage-layer tables; the serving
 layer calls these methods with a pooled connection and never assembles
@@ -53,6 +63,7 @@ cache SQL itself.
 
 from __future__ import annotations
 
+import json
 import threading
 from typing import Any, Iterable, Sequence
 
@@ -82,6 +93,18 @@ CREATE TABLE IF NOT EXISTS rule_body (
   body_id    INTEGER PRIMARY KEY,
   body_hash  TEXT NOT NULL UNIQUE
 );
+"""
+
+#: A registered preference's rules in order: each rule's body handle
+#: and behavior, clustered by preference.
+PREFERENCE_RULE_DDL = """
+CREATE TABLE IF NOT EXISTS preference_rule (
+  pref_id     INTEGER NOT NULL,
+  rule_index  INTEGER NOT NULL,
+  body_id     INTEGER NOT NULL,
+  behavior    TEXT NOT NULL,
+  PRIMARY KEY (pref_id, rule_index)
+) WITHOUT ROWID;
 """
 
 #: Clustered by policy like ``decision_cache``: an install's delete is
@@ -163,9 +186,60 @@ class DecisionCache:
         "ORDER BY policy.policy_id"
     )
 
+    #: Registration's decisions: every active policy's lowest rule
+    #: index whose body's bit fired (NULLs where none did), one
+    #: statement.  Per policy, the candidate rules are a primary-key
+    #: range of ``preference_rule`` and each bit a primary-key probe of
+    #: ``rule_fired``; the behavior is one more ``preference_rule``
+    #: probe.  Every rule body must have a bit for every active policy
+    #: (the registration filled them in the same transaction): a
+    #: missing bit reads as a rule that did not fire.
+    DECIDE_SQL = (
+        "INSERT OR REPLACE INTO decision_cache\n"
+        "  (policy_id, pref_id, policy_version, behavior, rule_index)\n"
+        "SELECT decided.policy_id, decided.pref_id, decided.version,\n"
+        "       rule.behavior, rule.rule_index\n"
+        "FROM (SELECT policy.policy_id AS policy_id,\n"
+        "             policy.version AS version,\n"
+        "             pk.pref_id AS pref_id,\n"
+        "             (SELECT candidate.rule_index\n"
+        "              FROM preference_rule AS candidate\n"
+        "              JOIN rule_fired AS bit\n"
+        "                ON bit.policy_id = policy.policy_id\n"
+        "               AND bit.body_id = candidate.body_id\n"
+        "              WHERE candidate.pref_id = pk.pref_id\n"
+        "                AND bit.fired = 1\n"
+        "              ORDER BY candidate.rule_index\n"
+        "              LIMIT 1) AS first_fired\n"
+        "      FROM preference_key AS pk\n"
+        "      JOIN policy ON policy.active = 1\n"
+        "      WHERE pk.pref_hash = ?) AS decided\n"
+        "LEFT JOIN preference_rule AS rule\n"
+        "       ON rule.pref_id = decided.pref_id\n"
+        "      AND rule.rule_index = decided.first_fired"
+    )
+
     _PREF_ID = "SELECT pref_id FROM preference_key WHERE pref_hash = ?"
 
     _INTERN = "INSERT INTO preference_key (pref_hash) VALUES (?)"
+
+    _INTERN_IF_NEW = (
+        "INSERT OR IGNORE INTO preference_key (pref_hash) VALUES (?)")
+
+    #: Interns each hash of a JSON array the store lacks, in one
+    #: statement: a registration's distinct bodies.
+    _INTERN_BODIES = (
+        "INSERT OR IGNORE INTO rule_body (body_hash) "
+        "SELECT value FROM json_each(?)"
+    )
+
+    _INSERT_RULE = (
+        "INSERT OR REPLACE INTO preference_rule "
+        "(pref_id, rule_index, body_id, behavior) "
+        "SELECT pk.pref_id, ?, body.body_id, ? "
+        "FROM preference_key AS pk, rule_body AS body "
+        "WHERE pk.pref_hash = ? AND body.body_hash = ?"
+    )
 
     _INSERT = (
         "INSERT OR REPLACE INTO decision_cache "
@@ -221,7 +295,8 @@ class DecisionCache:
                 db.rollback()
                 raise
         db.executescript(PREFERENCE_KEY_DDL + DECISION_CACHE_DDL
-                         + RULE_BODY_DDL + RULE_FIRED_DDL)
+                         + RULE_BODY_DDL + RULE_FIRED_DDL
+                         + PREFERENCE_RULE_DDL)
         with self._lock:
             self.rule_bodies = int(
                 db.scalar("SELECT COUNT(*) FROM rule_body"))
@@ -315,6 +390,30 @@ class DecisionCache:
             with self._lock:
                 self.rule_bodies += 1
         return int(body_id)
+
+    def store_rules(self, db: Database, pref_hash: str,
+                    rules: Sequence[tuple[str, str]]) -> None:
+        """Write *pref_hash*'s rule list: ``(body_hash, behavior)`` per
+        rule, in rule order.  The preference and every body the store
+        lacks are interned first.  The caller owns transaction scope."""
+        db.execute(self._INTERN_IF_NEW, (pref_hash,))
+        bodies = json.dumps(list(dict.fromkeys(body for body, _ in rules)))
+        interned = db.execute(self._INTERN_BODIES, (bodies,)).rowcount
+        db.executemany(self._INSERT_RULE, [
+            (index, behavior, pref_hash, body_hash)
+            for index, (body_hash, behavior) in enumerate(rules)])
+        with self._lock:
+            self.rule_bodies += interned
+
+    def decide(self, db: Database, pref_hash: str) -> int:
+        """Decide every active policy for the stored preference
+        *pref_hash* from its rule rows and their bits
+        (:data:`DECIDE_SQL`); returns the decision rows written.  The
+        caller owns transaction scope."""
+        written = db.execute(self.DECIDE_SQL, (pref_hash,)).rowcount
+        with self._lock:
+            self.populated += written
+        return written
 
     def record_bits(self, evaluated: int, reused: int) -> None:
         """Count (body, policy) pairs evaluated against the policy

@@ -31,7 +31,8 @@ A :class:`BodyPlan` is the unit preferences share: one rule *body*
 (its connective and expressions, without behavior or position) compiled
 set-at-a-time against the stored rule bits of every active policy, so
 the server evaluates each (body, policy) pair once however many
-preferences contain the body.
+preferences contain the body.  Its fill form, an ``INSERT … SELECT``,
+stores the missing bits without returning a row.
 
 :class:`TranslationCache` (the bounded, thread-safe LRU the serving
 layer shares) lives here too: it caches compiled plans keyed by
@@ -43,6 +44,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Hashable
 
 from repro.storage.database import Database
@@ -193,13 +195,27 @@ class BodyPlan:
     evaluates the body only where no bit is stored, so a known pair
     costs one primary-key probe.  A hash never interned — or ``None`` —
     reads no bits: every active policy is evaluated.
+
+    ``fill_sql`` is the same statement as an ``INSERT … SELECT`` into
+    ``rule_fired``: it stores the fresh rows' bits inside SQLite, so no
+    row crosses into Python.  Its text is built once per plan, so the
+    writer's prepared-statement cache keeps it.
     """
 
     sql: str
 
+    @cached_property
+    def fill_sql(self) -> str:
+        return fill_statement(self.sql)
+
     def execute(self, db: Database, body_hash: str | None) -> list:
         """One round trip: the ``(policy_id, fired, fresh)`` rows."""
         return db.query(self.sql, (body_hash,))
+
+    def fill(self, db: Database, body_hash: str) -> int:
+        """Store the bit of every active policy that has none for the
+        interned body *body_hash*; returns the bits evaluated."""
+        return db.execute(self.fill_sql, (body_hash, body_hash)).rowcount
 
     def size_chars(self) -> int:
         """Memory proxy: characters of SQL this plan pins in a cache."""
@@ -221,6 +237,20 @@ def body_statement(source: str, clause: str) -> str:
         "       ON bit.policy_id = applicable_policy.policy_id\n"
         "      AND bit.body_id = (SELECT body_id FROM rule_body\n"
         "                         WHERE body_hash = ?)"
+    )
+
+
+def fill_statement(body_sql: str) -> str:
+    """The fill form of a :class:`BodyPlan` statement *body_sql*: insert
+    its fresh rows as ``rule_fired`` bits.  Binds the body hash twice,
+    for the handle it stores and for the stored bits it reads."""
+    return (
+        "INSERT INTO rule_fired (policy_id, body_id, fired)\n"
+        "SELECT body.policy_id,\n"
+        "       (SELECT body_id FROM rule_body WHERE body_hash = ?),\n"
+        "       body.fired\n"
+        "FROM (\n" + body_sql + "\n) AS body\n"
+        "WHERE body.fresh"
     )
 
 

@@ -205,12 +205,20 @@ class TestBodyPlanAudit:
 
     def test_bit_read_by_scan_is_flagged(self, bits_db):
         # Reading the bits by body id alone cannot use the key, which
-        # leads with policy_id: every stored bit would be read.
+        # leads with policy_id: every stored bit would be read — by the
+        # read form and by the fill form registration runs.
         findings = audit_body_plan(bits_db, BodyPlan(
             sql="SELECT policy_id, fired, 0 AS fresh FROM rule_fired "
-                "WHERE body_id = ?"))
-        assert [f.code for f in findings] == ["full-scan"]
-        assert "rule_fired" in findings[0].message
+                "WHERE body_id = ?"), where="doctored")
+        assert [f.code for f in findings] == ["full-scan", "full-scan"]
+        assert [f.where for f in findings] == ["doctored", "doctored/fill"]
+        assert all("rule_fired" in f.message for f in findings)
+
+    def test_fill_form_wraps_the_read_form(self, suite):
+        body = OptimizedSqlTranslator().compile_body(suite["High"].rules[0])
+        assert body.fill_sql.startswith("INSERT INTO rule_fired")
+        assert body.sql in body.fill_sql
+        assert strip_quoted(body.fill_sql).count("?") == 2
 
 
 class TestDecisionLookupAudit:
@@ -274,9 +282,9 @@ class TestCorpusGate:
         report = audit_corpus(small_corpus, suite, audit_literal=False)
         assert report.ok
         # Per preference: one compiled plan + one full-corpus bulk plan
-        # + one structural XQuery plan; one body plan per distinct rule
-        # body across the suite; plus the two static cache statements
-        # audited once.
+        # + one structural XQuery plan; two statements (read and fill)
+        # per distinct rule body across the suite; plus the two static
+        # cache statements audited once.
         bodies = {OptimizedSqlTranslator().compile_body(rule).sql
                   for preference in suite.values()
                   for rule in preference.rules}
@@ -285,7 +293,7 @@ class TestCorpusGate:
         assert report.body_plans_explained == len(bodies)
         assert report.cache_lookups_explained == 2
         assert report.statements_explained == \
-            3 * len(suite) + len(bodies) + 2
+            3 * len(suite) + 2 * len(bodies) + 2
 
     def test_unreachable_rule_surfaces_in_report(self, small_corpus,
                                                  suite):

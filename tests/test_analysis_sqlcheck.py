@@ -149,6 +149,34 @@ class TestRulesFire:
         assert codes(findings) == ["unindexed-hot-predicate"]
         assert "SCAN decision_cache" in findings[0].message
 
+    def test_decide_scans_rule_rows_without_their_key(self):
+        # A preference_rule without its (pref_id, rule_index) key: each
+        # policy's decision reads every stored rule of every registered
+        # preference, and the cache/decide contract says so.
+        db = Database()
+        create_optimized_schema(db)
+        DecisionCache().ensure_schema(db)
+        db.executescript(
+            "DROP TABLE preference_rule;"
+            "CREATE TABLE preference_rule (pref_id INTEGER NOT NULL,"
+            " rule_index INTEGER NOT NULL, body_id INTEGER NOT NULL,"
+            " behavior TEXT NOT NULL);")
+        contract, = [contract for contract in static_contracts()
+                     if contract.where == "cache/decide"]
+        findings = check_statement(db, contract)
+        assert findings
+        assert set(codes(findings)) == {"unindexed-hot-predicate"}
+        assert all("preference_rule" in finding.message
+                   for finding in findings)
+        db.close()
+
+    def test_decide_is_clean_against_the_shipped_schema(self,
+                                                        optimized_db):
+        contract, = [contract for contract in static_contracts()
+                     if contract.where == "cache/decide"]
+        assert contract.hot_tables >= {"preference_rule", "rule_fired"}
+        assert check_statement(optimized_db, contract) == []
+
     def test_version_lookups_scan_policy_without_its_index(self):
         # Without idx_policy_name_site, an install's lookup of the
         # version it supersedes and both invalidation deletes read every
@@ -188,7 +216,8 @@ class TestStaticRegistry:
                          "cache/invalidate", "cache/preference-id",
                          "cache/preference-intern", "cache/body-id",
                          "cache/body-intern", "cache/bits-insert",
-                         "cache/bits-invalidate", "server/active-version",
+                         "cache/bits-invalidate", "cache/rule-insert",
+                         "cache/decide", "server/active-version",
                          "server/check-log-insert",
                          "server/retarget-policyref",
                          "refstore/insert-meta",
@@ -200,7 +229,6 @@ class TestStaticRegistry:
         by_where = {c.where: c for c in static_contracts()}
         for read_path in ("cache/lookup", "cache/match",
                           "server/policy-version",
-                          "server/active-policies",
                           "refstore/applicable-policy[uri]"):
             assert by_where[read_path].writes == frozenset()
 

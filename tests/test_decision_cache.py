@@ -418,6 +418,54 @@ class TestServerIntegration:
             server.close()
 
 
+class TestCacheOff:
+    """``cache_decisions=False`` is the always-execute configuration: a
+    registration stores nothing, and a corpus match decides every active
+    policy and serves no stored row, whatever the store already holds."""
+
+    _TABLES = ("preference_key", "preference_rule", "rule_body",
+               "rule_fired", "decision_cache")
+
+    def _rows(self, server):
+        with server.pool.read() as db:
+            return {table: db.scalar(f"SELECT COUNT(*) FROM {table}")
+                    for table in self._TABLES}
+
+    def _assert_always_executes(self, server, policies, preference):
+        before = self._rows(server)
+        assert server.register_preference(preference) == 0
+        result = server.match_all(preference)
+        assert result.cache_hits == 0
+        assert result.cache_misses == len(policies)
+        assert not any(decision.cached for decision in result.decisions)
+        native = AppelEngine()
+        for decision, policy in zip(result.decisions, policies):
+            verdict = native.evaluate(policy, preference)
+            assert (decision.behavior, decision.rule_index) == \
+                (verdict.behavior, verdict.rule_index)
+        assert self._rows(server) == before
+
+    def test_fresh_store_stores_and_serves_nothing(self, corpus, suite):
+        with PolicyServer(cache_decisions=False) as server:
+            for policy in corpus[:4]:
+                server.install_policy(policy)
+            self._assert_always_executes(server, corpus[:4], suite["Low"])
+            assert set(self._rows(server).values()) == {0}
+
+    def test_store_written_with_caching_on_is_not_served(self, tmp_path,
+                                                         corpus, suite):
+        path = str(tmp_path / "cached.db")
+        with PolicyServer(path) as server:
+            for policy in corpus[:4]:
+                server.install_policy(policy)
+            assert server.register_preference(suite["Low"]) == 4
+        with PolicyServer(path, cache_decisions=False) as server:
+            assert self._rows(server)["decision_cache"] == 4
+            self._assert_always_executes(server, corpus[:4], suite["Low"])
+            self._assert_always_executes(server, corpus[:4],
+                                         suite["Medium"])
+
+
 class TestChaos:
     def test_crash_mid_populate_leaves_no_partial_rows(self, tmp_path,
                                                        corpus, suite):
@@ -428,23 +476,28 @@ class TestChaos:
         for policy in corpus[:6]:
             server.install_policy(policy)
         pool = server.pool
-        original = pool.writer.executemany
+        original = pool.writer.execute
+        crashed = []
 
-        def crash_after_write(sql, rows):
-            result = original(sql, rows)
-            if "decision_cache" in sql:
-                # Rows are in the open transaction; die before commit.
+        def crash_after_write(sql, parameters=()):
+            result = original(sql, parameters)
+            if sql == DecisionCache.DECIDE_SQL:
+                # The decisions, rule rows and bits are in the open
+                # transaction; die before commit.
+                crashed.append(result.rowcount)
                 crash_pool(pool)
                 raise sqlite3.OperationalError("injected: crashed")
             return result
 
-        pool.writer.executemany = crash_after_write
+        pool.writer.execute = crash_after_write
         with pytest.raises(Exception):
             server.register_preference(suite["High"])
+        assert crashed == [6]
 
         recovered = Database(path)
         try:
-            for table in ("decision_cache", "rule_fired", "rule_body"):
+            for table in ("decision_cache", "rule_fired", "rule_body",
+                          "preference_rule"):
                 assert recovered.scalar(
                     f"SELECT COUNT(*) FROM {table}") == 0, table
             assert recovered.scalar(

@@ -9,7 +9,8 @@ the set-at-a-time :class:`~repro.translate.plan.BulkPlan` and the
 native APPEL engine over the full corpus, and that each bit is
 evaluated once: shared bodies are reused, an install costs only the new
 version's bits, a rollback refills the bits its install deleted, and
-``cache_decisions=False`` stores none.
+``cache_decisions=False`` stores none.  A registration's traffic across
+the SQLite/Python boundary does not grow with the corpus.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import pytest
 from repro.appel.engine import AppelEngine
 from repro.appel.model import Ruleset
 from repro.appel.templates import compose_preference, template_keys
+from repro.corpus.policies import fortune_corpus
 from repro.corpus.volga import jane_preference
 from repro.p3p.model import Policy, PurposeValue, RecipientValue, Statement
 from repro.server.policy_server import (
@@ -31,6 +33,7 @@ from repro.server.policy_server import (
     preference_hash,
     rule_body_hash,
 )
+from repro.storage.database import Database
 
 #: Catch-all behaviors a sampled preference may end with; ``None`` drops
 #: the catch-all, so some policies get no decision (a cached negative).
@@ -220,7 +223,7 @@ class TestEvaluatedOnce:
         with PolicyServer(cache_decisions=False) as server:
             for policy in corpus[:4]:
                 server.install_policy(policy)
-            assert server.register_preference(suite["Low"]) == 4
+            assert server.register_preference(suite["Low"]) == 0
             first = server.match_all(suite["Medium"])
             again = server.match_all(suite["Medium"])
             assert [d.decision for d in again.decisions] == \
@@ -231,6 +234,89 @@ class TestEvaluatedOnce:
             snapshot = server.decisions.snapshot()
             assert snapshot["bits_reused"] == 0
             assert snapshot["rule_bodies"] == 0
+
+
+class _CountingCursor:
+    """A cursor that counts the rows it hands to Python."""
+
+    def __init__(self, cursor, traffic: dict[str, int]):
+        self._cursor = cursor
+        self._traffic = traffic
+
+    def fetchone(self):
+        row = self._cursor.fetchone()
+        if row is not None:
+            self._traffic["rows_fetched"] += 1
+        return row
+
+    def fetchall(self):
+        rows = self._cursor.fetchall()
+        self._traffic["rows_fetched"] += len(rows)
+        return rows
+
+    def __iter__(self):
+        for row in self._cursor:
+            self._traffic["rows_fetched"] += 1
+            yield row
+
+    def __getattr__(self, name):
+        return getattr(self._cursor, name)
+
+
+class TestRegistrationTraffic:
+    """What a registration moves across the SQLite/Python boundary — the
+    rows fetched into Python and the parameter rows bound through
+    ``executemany`` — and the statements it runs depend on the
+    preference's rules, not on the corpus."""
+
+    def _traffic(self, monkeypatch, policies: int,
+                 preference: Ruleset) -> dict[str, int]:
+        twin = Ruleset(rules=tuple(reversed(preference.rules)))
+        assert preference_hash(twin) != preference_hash(preference)
+        with PolicyServer() as server:
+            for policy in fortune_corpus(count=policies):
+                server.install_policy(policy)
+            # Same bodies, another preference: every bit is stored.
+            assert server.register_preference(twin) == policies
+            evaluated = server.decisions.bits_evaluated
+            statements = server.pool.stats().statements
+            traffic = {"rows_fetched": 0, "rows_bound": 0}
+            execute, executemany = Database.execute, Database.executemany
+
+            def counted_execute(db, sql, parameters=()):
+                return _CountingCursor(execute(db, sql, parameters),
+                                       traffic)
+
+            def counted_executemany(db, sql, rows):
+                rows = list(rows)
+                traffic["rows_bound"] += len(rows)
+                return executemany(db, sql, rows)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Database, "execute", counted_execute)
+                patch.setattr(Database, "executemany", counted_executemany)
+                assert server.register_preference(preference) == policies
+            traffic["statements"] = \
+                server.pool.stats().statements - statements
+            assert server.decisions.bits_evaluated == evaluated
+            result = server.match_all(preference)
+            assert result.cache_misses == 0
+            native = AppelEngine()
+            for decision, policy in zip(result.decisions,
+                                        fortune_corpus(count=policies)):
+                verdict = native.evaluate(policy, preference)
+                assert (decision.behavior, decision.rule_index) == \
+                    (verdict.behavior, verdict.rule_index)
+        return traffic
+
+    def test_traffic_does_not_grow_with_the_corpus(self, monkeypatch,
+                                                   suite):
+        preference = suite["High"]
+        small = self._traffic(monkeypatch, 10, preference)
+        large = self._traffic(monkeypatch, 60, preference)
+        assert small == large
+        assert small["rows_fetched"] <= len(preference.rules)
+        assert small["rows_bound"] <= len(preference.rules)
 
 
 class TestNoPerPreferencePlan:
